@@ -1,33 +1,18 @@
 """Smallest eigenpair of a symmetric tridiagonal matrix.
 
-Deterministic pipeline: Gershgorin/Rayleigh bracket, batched bisection on the
-Sturm sequence, one banded inverse-iteration solve for the eigenvector, a few
-Rayleigh-quotient polish steps, and a final Sturm-count certificate that the
-returned value is the smallest eigenvalue.  No randomness anywhere.
+Deterministic pipeline on LAPACK: ``dstebz`` bisection for the smallest
+eigenvalue, ``dstein`` inverse iteration for its eigenvector, one
+Rayleigh-quotient step and a residual check, then a ``dstebz`` Sturm-count
+certificate that the returned value is the smallest eigenvalue.  No
+randomness anywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import NumericalFailureError
-
-MAX_SWEEPS = 200
-_LANES = 64
-
-
-def _sturm_counts(diag, e2, xs, pivmin):
-    """Number of eigenvalues strictly below each shift in xs."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    q = diag[0] - xs
-    np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
-    count = (q < 0).astype(np.int64)
-    for k in range(1, diag.size):
-        q = diag[k] - xs - e2[k - 1] / q
-        np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
-        count += q < 0
-    return count
 
 
 def tridiag_apply(diag, off, v):
@@ -37,99 +22,65 @@ def tridiag_apply(diag, off, v):
     return out
 
 
-def _solve_shifted(diag, off, shift, rhs):
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off
-    ab[1, :] = diag - shift
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
+def _count(diag, off, lo, hi):
+    """Number of eigenvalues in (lo, hi], from dstebz Sturm counts."""
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                                check_finite=False).size
 
 
-def smallest_eigenpair(diag, off, rel_tol=1e-13):
+def smallest_eigenpair(diag, off):
     """Return (lambda_1, v) with v the positive-normalized eigenvector."""
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     m = diag.size
+    for name, arr in (("diag", diag), ("off", off)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise NumericalFailureError(
+                f"operator has non-finite {name} entries",
+                m=m, index=int(bad[0]), value=float(arr[bad[0]]),
+            )
     if m == 1:
         return float(diag[0]), np.ones(1)
-    e2 = off * off
     scale = float(np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
-    pivmin = max(np.finfo(float).tiny / np.finfo(float).eps,
-                 np.finfo(float).eps**2 * scale)
-    # Sturm counts are only reliable to O(eps * ||T||) in absolute terms;
-    # never chase the bracket below that blur.
+    # Sturm counts are only reliable to O(eps * ||T||) in absolute terms.
     blur = 8 * np.finfo(float).eps * scale
 
-    pad = np.concatenate(([0.0], np.abs(off), [0.0]))
-    lo = float(np.min(diag - pad[:-1] - pad[1:])) - blur
-    # Rayleigh quotient of a smooth positive trial tightens the upper end.
-    trial = np.sin(np.pi * (np.arange(1, m + 1)) / (m + 1))
-    trial /= np.linalg.norm(trial)
-    hi = float(trial @ tridiag_apply(diag, off, trial)) + blur
-    if not hi > lo:
-        hi = lo + max(1.0, abs(lo))
-
-    width_target = max(rel_tol * max(abs(lo), abs(hi)), blur)
-    sweeps = 0
-    while hi - lo > width_target:
-        if sweeps >= MAX_SWEEPS:
-            raise NumericalFailureError(
-                "bisection failed to converge",
-                sweeps=sweeps, bracket=(lo, hi), width=hi - lo,
-            )
-        xs = np.linspace(lo, hi, _LANES + 2)[1:-1]
-        counts = _sturm_counts(diag, e2, xs, pivmin)
-        idx = np.searchsorted(counts, 1)  # first probe with count >= 1
-        hi = xs[idx] if idx < xs.size else hi
-        lo = xs[idx - 1] if idx > 0 else lo
-        sweeps += 1
-
-    lam = 0.5 * (lo + hi)
-    gap = hi - lo
-
-    # Inverse iteration + Rayleigh polish from a deterministic start.
-    v = np.ones(m) / np.sqrt(m)
-    mu = lam
-    last_res = np.inf
-    for _ in range(6):
-        try:
-            w = _solve_shifted(diag, off, mu, v)
-        except np.linalg.LinAlgError:
-            mu -= 4 * np.finfo(float).eps * max(abs(mu), 1.0)
-            continue
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm == 0:
-            mu -= 4 * np.finfo(float).eps * max(abs(mu), 1.0)
-            continue
-        v = w / norm
-        mu_new = float(v @ tridiag_apply(diag, off, v))
-        res = float(np.linalg.norm(tridiag_apply(diag, off, v) - mu_new * v))
-        mu = mu_new
-        if res < 1e-10 * scale:
-            last_res = res
-            break
-        last_res = res
-    else:
-        if last_res > 1e-8 * scale:
-            raise NumericalFailureError(
-                "inverse iteration failed to converge",
-                residual=last_res, estimate=mu, scale=scale,
-            )
+    try:
+        _, vs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                 check_finite=False)
+    except np.linalg.LinAlgError as exc:  # dstebz or dstein reported failure
+        raise NumericalFailureError(
+            "inverse iteration failed to converge", m=m, lapack=str(exc),
+        ) from exc
+    v = vs[:, 0]
+    # Rayleigh quotient as sum (row sum) v_i^2 - sum e_i (v_{i+1} - v_i)^2:
+    # no O(||T||) products cancel, so mu is good far below eps * ||T||.
+    pad = np.concatenate(([0.0], off, [0.0]))
+    mu = float((np.sum((diag + pad[:-1] + pad[1:]) * v * v)
+                - np.sum(off * np.diff(v) ** 2)) / (v @ v))
+    tv = tridiag_apply(diag, off, v)
+    res = float(np.linalg.norm(tv - mu * v))
+    if not res <= 1e-8 * scale:
+        raise NumericalFailureError(
+            "inverse iteration failed to converge",
+            residual=res, estimate=mu, scale=scale,
+        )
 
     # Certificate: no eigenvalue below mu - slack, at least one below mu + slack.
-    slack = max(4 * gap, 4 * blur, 1e-12 * max(abs(mu), 1.0))
+    slack = max(4 * blur, 1e-12 * max(abs(mu), 1.0))
     for _ in range(3):
-        below, above = _sturm_counts(diag, e2, [mu - slack, mu + slack], pivmin)
+        below = _count(diag, off, -np.inf, mu - slack)
+        above = below + _count(diag, off, mu - slack, mu + slack)
         if below == 0 and above >= 1:
             break
         slack *= 8  # count blur at the boundary; widen once or twice
     else:
         raise NumericalFailureError(
             "eigenvalue certificate failed",
-            estimate=mu, counts=(int(below), int(above)), slack=slack,
+            estimate=mu, counts=(below, above), slack=slack,
         )
 
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
-    return float(mu), v
+    return mu, v

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidKindError, InvalidParameterError
 from .geometry import (
@@ -127,6 +126,8 @@ def model_eigenfunction(model: ModelManifold, lam: float):
     Integrates phi'' + drift(rho) phi' + lam phi = 0 outward from a series
     start at the regular center; normalized phi(0) = 1.
     """
+    from scipy.integrate import solve_ivp
+
     prof = model.profile
     n = model.dim
     r = prof.r_max

@@ -17,12 +17,17 @@ ratios of neighboring densities.
 The stabilized curvature of a compact manifold is 4 lambda_1 at beta = 1/4,
 summed over factors for products.  Results carry a two-grid convergence
 certificate and a Richardson extrapolation (4 lam(2m) - lam(m))/3.
+
+Solves are cached by (manifold key, beta, m) in one LRU cache holding at most
+_CACHE_BYTES of eigenfunction samples; least recently used entries are
+evicted first, and cached eigenfunctions are read-only arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,10 @@ DEFAULT_GRID = 4000
 DEFAULT_TOL = 1e-3
 MIN_GRID = 16
 
-_cache: dict = {}
+# Least recently used first; _cache_nbytes counts the eigenfunction samples.
+_CACHE_BYTES = 4 << 20
+_cache: OrderedDict = OrderedDict()
+_cache_nbytes = 0
 
 
 class BC(str, enum.Enum):
@@ -197,13 +205,21 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
 
 
 def _lambda1_cached(man: ModelManifold, beta: float, m: int):
+    global _cache_nbytes
     key = (man.key(), beta, m)
     hit = _cache.get(key)
-    if hit is None:
-        op = discretize(man, beta, m)
-        lam, v = smallest_eigenpair(op.diag, op.offdiag)
-        hit = (lam, op.unweight(v))
-        _cache[key] = hit
+    if hit is not None:
+        _cache.move_to_end(key)
+        return hit
+    op = discretize(man, beta, m)
+    lam, v = smallest_eigenpair(op.diag, op.offdiag)
+    u = op.unweight(v)
+    u.flags.writeable = False
+    hit = _cache[key] = (lam, u)
+    _cache_nbytes += u.nbytes
+    while _cache_nbytes > _CACHE_BYTES:
+        _, (_, old) = _cache.popitem(last=False)
+        _cache_nbytes -= old.nbytes
     return hit
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -192,6 +194,13 @@ class TestComputeCommand:
         assert main(["compute", "interval:0,1", "--grid", "64",
                      "--tol", "1e-12"]) == 3
 
+    def test_non_finite_operator_exit_code(self, capsys):
+        # sinh overflows at r = 800; the solver refuses the operator cleanly
+        assert main(["compute", "hypball:n=3,r=800"]) == 3
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: operator has non-finite")
+
     def test_env_grid_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SCX_GRID", "400")
         main(["compute", "interval:0,1"])
@@ -250,3 +259,10 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+
+def test_cli_import_defers_scipy_integrate():
+    code = "import sys, scx.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -178,6 +178,11 @@ class TestScStab:
         assert res.certificate is not None
         assert res.certificate < 1e-2
 
+    def test_non_finite_operator_raises(self):
+        # sinh overflow at r = 800 leaves NaN entries in the operator
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            sc_stab(make_hyperbolic_ball(3, 800), 500)
+
     def test_certificate_failure_raises(self):
         with pytest.raises(NumericalFailureError):
             sc_stab(make_interval(0, 1), 64, tol=1e-12)
