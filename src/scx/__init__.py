@@ -1,11 +1,12 @@
 """Stabilized scalar curvature of model manifolds.
 
 Computes 4 lambda_1(-Lap + Sc/4) with Dirichlet conditions on a catalog of
-model geometries, cross-checked three ways: a LAPACK tridiagonal eigensolve
-of the radial reduction, Bessel-zero closed forms for flat balls, and a
-variational sup over positive test functions.  Includes warped-metric
-curvature fields, product additivity, space-form comparison inequalities, and
-the finite-dimensional twisted Clifford curvature term.
+model geometries, cross-checked three ways: a tridiagonal eigensolve of the
+radial reduction (inverse iteration on LAPACK LDL^T solves, certified by
+inertia), Bessel-zero closed forms for flat balls, and a variational sup
+over positive test functions.  Includes warped-metric curvature fields,
+product additivity, space-form comparison inequalities, and the
+finite-dimensional twisted Clifford curvature term.
 """
 
 from .bessel import BesselZero, bessel_j, first_zero, flat_ball_sc, qw_enclosure

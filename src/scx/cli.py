@@ -41,7 +41,7 @@ from .geometry import (
     make_spherical_cap,
     product,
 )
-from .spectral import DEFAULT_GRID, DEFAULT_TOL, sc_stab
+from .spectral import DEFAULT_GRID, DEFAULT_TOL, lambda1_beta, sc_stab
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -158,16 +158,16 @@ def _parse_manifold(sc: _Scanner) -> ModelManifold:
         return make_box(_parse_numbers(sc))
     if kind == "ball":
         kv = _parse_kv(sc, {"n": True, "r": True, "kappa": False})
-        return make_space_form_ball(int(kv["n"]), kv.get("kappa", 0.0), kv["r"])
+        return make_space_form_ball(kv["n"], kv.get("kappa", 0.0), kv["r"])
     if kind == "hemisphere":
         kv = _parse_kv(sc, {"n": True})
-        return make_spherical_cap(int(kv["n"]), math.pi / 2)
+        return make_spherical_cap(kv["n"], math.pi / 2)
     if kind == "cap":
         kv = _parse_kv(sc, {"n": True, "angle": True})
-        return make_spherical_cap(int(kv["n"]), kv["angle"])
+        return make_spherical_cap(kv["n"], kv["angle"])
     if kind == "hypball":
         kv = _parse_kv(sc, {"n": True, "r": True})
-        return make_hyperbolic_ball(int(kv["n"]), kv["r"])
+        return make_hyperbolic_ball(kv["n"], kv["r"])
     if kind == "product":
         factors = []
         while True:
@@ -249,11 +249,15 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
         "kind": man.kind.value,
         "dim": man.dim,
         "method": method,
+        "beta": ms.beta,
     }
+    if method != "eigensolve" and ms.beta != 0.25:
+        raise InvalidParameterError(
+            f"method {method!r} computes sc at beta = 0.25 only, got beta = {ms.beta:g}"
+        )
     if method == "eigensolve":
-        res = sc_stab(man, ms.grid, ms.tol)
+        res = lambda1_beta(man, ms.beta, ms.grid, ms.tol)
         report.update({
-            "beta": 0.25,
             "grid": res.grid_size,
             "lambda1": res.lambda1,
             "sc_stab": res.sc_stab,
@@ -263,7 +267,8 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
         })
         if man.kind == Kind.HYPERBOLIC_BALL:
             n, r = man.params
-            c = 4.0 * (res.lambda1 + n * (n - 1) / 4.0) / (n - 1) ** 2 - 1.0 / r**2
+            lam0 = res.lambda1 + res.beta * n * (n - 1)  # beta * sigma = -beta n(n-1)
+            c = 4.0 * lam0 / (n - 1) ** 2 - 1.0 / r**2
             report["c_r"] = c
             report["c_r_reference_window"] = [1.0 / 6.0, 1.0]
             report["within_reference_window"] = bool(1 / 6 <= c <= 1)
@@ -384,7 +389,7 @@ def _cmd_compute(args) -> int:
         ms = parse_spec(text, grid=grid, beta=args.beta, tol=args.tol)
         reports.append(compute_report(ms, args.method, args.seed))
     if getattr(args, "as_csv", False):
-        cols = ["manifold", "method", "dim", "sc_stab", "lambda1", "grid"]
+        cols = ["manifold", "method", "dim", "sc_stab", "lambda1", "grid", "beta"]
         rows = [{c: r.get(c) for c in cols} for r in reports]
         _emit_csv(rows, sys.stdout)
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKindError, InvalidParameterError
+from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import (
     ModelManifold,
     make_hyperbolic_ball,
@@ -108,14 +108,20 @@ def make_comparison_case(
 
 
 def compare_sc_stab(case: ComparisonCase, m: int = DEFAULT_GRID) -> tuple[float, float]:
-    """(sc of X, sc of the model); asserts the comparison inequality."""
+    """(sc of X, sc of the model); checks the comparison inequality.
+
+    The inequality is a theorem for admissible cases, so a violation beyond
+    the two solves' certificates means the numerics failed: it raises
+    NumericalFailureError with sc_x, sc_model and tol in its details.
+    """
     res_x = sc_stab(case.manifold, m)
     res_m = sc_stab(case.model, m)
     tol = 2.0 * max(res_x.certificate, res_m.certificate) * abs(res_m.sc_stab) + 1e-9
     if res_x.sc_stab < res_m.sc_stab - tol:
-        raise AssertionError(
+        raise NumericalFailureError(
             f"comparison inequality violated: sc(X) = {res_x.sc_stab:.9g} < "
-            f"sc(model) = {res_m.sc_stab:.9g} - tol {tol:.2g}"
+            f"sc(model) = {res_m.sc_stab:.9g} - tol {tol:.2g}",
+            sc_x=res_x.sc_stab, sc_model=res_m.sc_stab, tol=tol,
         )
     return (res_x.sc_stab, res_m.sc_stab)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -154,6 +155,14 @@ class ModelManifold:
         return f"product ({inner})"
 
 
+def _dimension(n) -> int:
+    """n as an int: integers and integer-valued floats only, never truncated."""
+    if isinstance(n, numbers.Integral) or (
+            isinstance(n, numbers.Real) and float(n).is_integer()):
+        return int(n)
+    raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
+
+
 def _space_form_warp(kappa: float):
     if kappa > 0:
         rk = math.sqrt(kappa)
@@ -191,6 +200,7 @@ def make_interval(a: float, b: float) -> ModelManifold:
 
 def make_space_form_ball(n: int, kappa: float, r: float) -> ModelManifold:
     """Geodesic r-ball in the complete simply connected space of curvature kappa."""
+    n = _dimension(n)
     if n < 2:
         raise InvalidParameterError(f"ball dimension must be >= 2, got {n}")
     if r <= 0:
@@ -206,6 +216,7 @@ def make_space_form_ball(n: int, kappa: float, r: float) -> ModelManifold:
 
 def make_spherical_cap(n: int, angle: float = math.pi / 2) -> ModelManifold:
     """Cap of opening angle `angle` in the unit n-sphere; pi/2 is the hemisphere."""
+    n = _dimension(n)
     if not 0 < angle < math.pi:
         raise InvalidParameterError(f"cap angle must lie in (0, pi), got {angle}")
     prof = space_form_profile(n, 1.0, angle)
@@ -218,6 +229,7 @@ def make_hemisphere(n: int) -> ModelManifold:
 
 def make_hyperbolic_ball(n: int, r: float) -> ModelManifold:
     """Geodesic r-ball in hyperbolic n-space of curvature -1."""
+    n = _dimension(n)
     if n < 2:
         raise InvalidParameterError(f"ball dimension must be >= 2, got {n}")
     if r <= 0:
@@ -241,6 +253,7 @@ def make_radial_custom(
 
     ``warp_prime`` defaults to a central finite difference of ``warp``.
     """
+    n = _dimension(n)
     if n < 2:
         raise InvalidParameterError(f"dimension must be >= 2, got {n}")
     if warp_prime is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bessel, clifford, comparison, variational, warped
 from ._oracle2d import rectangle_lambda1
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalFailureError
 from .geometry import (
     make_box,
     make_hyperbolic_ball,
@@ -303,12 +303,21 @@ def comparison_suite(seed: int = 0, grid: int | None = None):
     m = grid or 600
     for kappa in (-1.0, 0.0, 1.0):
         cases = comparison.admissible_catalog(kappa, 6, seed=seed + int(3 * (kappa + 1)))
-        worst = math.inf
+        worst, violated = math.inf, 0
         for case in cases:
-            sx, sm = comparison.compare_sc_stab(case, m)
+            try:
+                sx, sm = comparison.compare_sc_stab(case, m)
+            except NumericalFailureError as exc:
+                if "sc_x" not in exc.details:  # a failed solve, not a violation
+                    raise
+                sx, sm = exc.details["sc_x"], exc.details["sc_model"]
+                violated += 1
             worst = min(worst, sx - sm)
+        detail = f"min margin {worst:.3e}"
+        if violated:
+            detail += f"; {violated} case(s) violate the inequality"
         out.append(_check("comparison", f"sc(X) >= sc(model) (kappa={kappa:g})",
-                          worst >= -1e-6, worst + 1e-6, f"min margin {worst:.3e}"))
+                          worst >= -1e-6 and not violated, worst + 1e-6, detail))
         ok = all(comparison.transplant_check(case, m) for case in cases[:2])
         out.append(_check("comparison", f"transplant pattern holds (kappa={kappa:g})",
                           ok, 0.0))

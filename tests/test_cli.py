@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -78,6 +80,19 @@ class TestParse:
         from scx.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError, match="out of range"):
             parse_spec("ball:n=2,r=4,kappa=1")
+
+    @pytest.mark.parametrize("text", ["ball:n=2.5,r=1", "hemisphere:n=3.5",
+                                      "cap:n=2.2,angle=1", "hypball:n=4.9,r=1"])
+    def test_non_integer_dimension_rejected(self, text):
+        from scx.errors import InvalidParameterError
+        with pytest.raises(InvalidParameterError, match="dimension must be an integer"):
+            parse_spec(text)
+
+    def test_integer_valued_dimension_accepted(self):
+        man = parse_spec("ball:n=3.0,r=1").manifold
+        assert man == parse_spec("ball:n=3,r=1").manifold
+        assert type(man.dim) is int
+        assert render(man) == "ball:n=3,r=1.0"
 
 
 def manifold_strategy():
@@ -209,6 +224,42 @@ class TestComputeCommand:
 
     def test_no_specs_is_error(self, capsys):
         assert main(["compute"]) == 2
+
+    def test_non_integer_dimension_exit_code(self, capsys):
+        assert main(["compute", "ball:n=2.5,r=1"]) == 2
+        assert "dimension must be an integer" in capsys.readouterr().err
+
+    def test_beta_takes_effect(self, capsys):
+        # hemisphere n=2: lambda_1(-Lap) = 2 and Sc = 2, so lambda_1 = 2 + 2 beta
+        assert main(["compute", "hemisphere:n=2", "--grid", "400", "--beta", "0.5"]) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["beta"] == 0.5
+        assert rep["lambda1"] == pytest.approx(3.0, rel=1e-4)
+        assert rep["sc_stab"] is None and rep["sc_stab_display"] is None
+        main(["compute", "hemisphere:n=2", "--grid", "400"])
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["beta"] == 0.25
+        assert rep["sc_stab"] == pytest.approx(10.0, rel=1e-4)
+
+    def test_beta_csv_reports_null_sc(self, capsys):
+        assert main(["compute", "hemisphere:n=2", "--grid", "400", "--beta", "0",
+                     "--csv"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["beta"] == "0.0"
+        assert row["sc_stab"] == ""
+        assert float(row["lambda1"]) == pytest.approx(2.0, rel=1e-4)
+
+    def test_beta_hyperbolic_c_unchanged(self, capsys):
+        main(["compute", "hypball:n=3,r=2", "--grid", "400", "--beta", "0"])
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["lambda1"] == pytest.approx(1 + math.pi**2 / 4, rel=1e-4)
+        assert rep["c_r"] == pytest.approx(1 + (math.pi**2 - 1) / 4, rel=1e-4)
+
+    @pytest.mark.parametrize("method", ["closed_form", "variational"])
+    def test_beta_rejected_by_other_methods(self, method, capsys):
+        assert main(["compute", "interval:0,1", "--method", method,
+                     "--beta", "0.5"]) == 2
+        assert "beta" in capsys.readouterr().err
 
 
 class TestTableCommand:

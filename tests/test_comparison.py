@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from scx.comparison import (
     positivity_threshold_radius,
     transplant_check,
 )
-from scx.errors import InvalidKindError, InvalidParameterError
+from scx import comparison, verify
+from scx.errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from scx.geometry import (
     make_box,
     make_hyperbolic_ball,
@@ -23,7 +25,7 @@ from scx.geometry import (
     make_space_form_ball,
     make_spherical_cap,
 )
-from scx.spectral import lambda1_beta, sc_stab
+from scx.spectral import SpectralResult, lambda1_beta, sc_stab
 
 
 class TestCaseConstruction:
@@ -78,6 +80,45 @@ class TestCompareScStab:
         for case in admissible_catalog(kappa, 20, seed=5):
             a, b = compare_sc_stab(case, 500)
             assert a >= b - 1e-6
+
+
+@pytest.fixture
+def violating_sc_stab(monkeypatch):
+    """sc_stab that answers 1 for every manifold X and 2 for every model."""
+    calls = itertools.count()
+
+    def fake(man, m=None, tol=None):
+        sc = 1.0 if next(calls) % 2 == 0 else 2.0
+        return SpectralResult(lambda1=sc / 4, eigenfunction=None, grid_size=2 * m,
+                              beta=0.25, certificate=1e-6, sc_stab=sc)
+
+    monkeypatch.setattr(comparison, "sc_stab", fake)
+
+
+class TestViolation:
+    def test_violation_is_numerical_failure(self, violating_sc_stab):
+        case = make_comparison_case(make_space_form_ball(3, 0, 0.5), 0.0, 2.0)
+        with pytest.raises(NumericalFailureError, match="comparison inequality") as exc:
+            compare_sc_stab(case, 64)
+        d = exc.value.details
+        assert (d["sc_x"], d["sc_model"]) == (1.0, 2.0)
+        assert d["tol"] == pytest.approx(2 * 1e-6 * 2.0 + 1e-9)
+
+    def test_verify_records_violation_as_failed_check(self, violating_sc_stab):
+        results = verify.run_suite("comparison", seed=0)
+        ineq = [r for r in results if r.name.startswith("sc(X) >= sc(model)")]
+        assert len(ineq) == 3
+        assert not any(r.passed for r in ineq)
+        assert all("violate the inequality" in r.detail for r in ineq)
+
+
+    def test_verify_propagates_failed_solve(self, monkeypatch):
+        def failing(man, m=None, tol=None):
+            raise NumericalFailureError("grid-doubling certificate failed", tol=tol)
+
+        monkeypatch.setattr(comparison, "sc_stab", failing)
+        with pytest.raises(NumericalFailureError, match="grid-doubling"):
+            verify.run_suite("comparison", seed=0)
 
 
 class TestTransplant:

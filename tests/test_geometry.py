@@ -71,6 +71,21 @@ class TestSpaceFormBall:
         with pytest.raises(InvalidParameterError):
             make_space_form_ball(3, 0, 2e3)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: make_space_form_ball(n, 0, 1),
+        lambda n: make_spherical_cap(n, 1.0),
+        lambda n: make_hyperbolic_ball(n, 1),
+        lambda n: make_radial_custom(n, np.sin, 1.0, warp_prime=np.cos),
+    ])
+    def test_dimension_must_be_integer(self, make):
+        for bad in (2.5, 3.000001, float("nan"), "3"):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                make(bad)
+        for good in (3, 3.0, np.int64(3), np.float64(3.0)):
+            man = make(good)
+            assert man.dim == 3 and type(man.dim) is int
+            assert type(man.params[0]) is int
+
     def test_with_radius_shrinks(self):
         man = make_hyperbolic_ball(3, 4)
         sub = man.with_radius(2)

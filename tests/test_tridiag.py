@@ -1,4 +1,4 @@
-"""The LAPACK tridiagonal eigensolve and the bounded solve cache."""
+"""The inverse-iteration tridiagonal eigensolve and the bounded solve cache."""
 
 import math
 from collections import OrderedDict
@@ -6,10 +6,12 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from scipy.linalg import eigvalsh_tridiagonal
+
 from scx import _tridiag, spectral
-from scx._tridiag import _count, smallest_eigenpair
+from scx._tridiag import _below_spectrum, _count, smallest_eigenpair
 from scx.errors import NumericalFailureError
-from scx.geometry import make_interval, make_space_form_ball
+from scx.geometry import make_hyperbolic_ball, make_interval, make_space_form_ball
 
 
 def _interval_matrix(m):
@@ -25,8 +27,18 @@ def _stieltjes(rng, m):
     return diag, off
 
 
+def _mixed(rng, m):
+    """Random tridiagonal with off-diagonal entries of both signs."""
+    off = rng.uniform(0.1, 2.0, m - 1) * rng.choice([-1.0, 1.0], m - 1)
+    return rng.uniform(-3.0, 3.0, m), off
+
+
 def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _scale(diag, off):
+    return float(np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
 
 
 class TestSmallestEigenpair:
@@ -93,14 +105,114 @@ class TestSmallestEigenpair:
         assert exc.value.details["index"] == 7
 
     def test_lapack_failure_becomes_numerical_failure(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("1 eigenvectors failed to converge")
+        def refusing(d, e, b, *args, **kwargs):
+            return d, e, b, 1  # a non-positive pivot at every shift
 
-        monkeypatch.setattr(_tridiag, "eigh_tridiagonal", failing)
+        monkeypatch.setattr(_tridiag, "dptsv", refusing)
         diag, off, _ = _interval_matrix(50)
         with pytest.raises(NumericalFailureError, match="inverse iteration") as exc:
             smallest_eigenpair(diag, off)
         assert exc.value.details["m"] == 50
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_sign_off_diagonal_against_dense(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        m = int(rng.integers(2, 121))
+        diag, off = _mixed(rng, m)
+        w, vecs = np.linalg.eigh(_dense(diag, off))
+        lam, v = smallest_eigenpair(diag, off)
+        assert abs(lam - w[0]) <= 1e-12 * _scale(diag, off)
+        ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
+        assert np.max(np.abs(v - ref)) <= 1e-8
+        assert v[np.argmax(np.abs(v))] > 0
+
+    def test_zero_matrix(self):
+        lam, v = smallest_eigenpair(np.zeros(2), np.zeros(1))
+        assert lam == 0.0
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        assert v[np.argmax(np.abs(v))] > 0
+
+    def test_diagonal_matrix(self):
+        lam, v = smallest_eigenpair(np.array([3.0, 1.0, 2.0, 5.0]), np.zeros(3))
+        assert lam == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(v - [0.0, 1.0, 0.0, 0.0])) <= 1e-12
+
+    @pytest.mark.parametrize("b", [0.0, -0.5, 0.5])
+    def test_equal_diagonal_entries(self, b):
+        m, a = 7, 2.0
+        lam, v = smallest_eigenpair(np.full(m, a), np.full(m - 1, b))
+        exact = a - 2 * abs(b) * math.cos(math.pi / (m + 1))
+        assert lam == pytest.approx(exact, abs=1e-14)
+        resid = _dense(np.full(m, a), np.full(m - 1, b)) @ v - lam * v
+        assert np.linalg.norm(resid) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_tiny_gap_against_bisection(self, n):
+        op = spectral.discretize(make_hyperbolic_ball(n, 700.0), 0.25, 4000)
+        w = eigvalsh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 1))
+        assert w[1] - w[0] < 1e-4  # gap far below the spread of the spectrum
+        lam, v = smallest_eigenpair(op.diag, op.offdiag)
+        scale = _scale(op.diag, op.offdiag)
+        slack = max(32 * np.finfo(float).eps * scale, 1e-12 * max(abs(w[0]), 1.0))
+        assert abs(lam - w[0]) <= slack
+        assert np.all(v > 0)
+
+    def test_rayleigh_quotient_wobble_stops(self):
+        # Large row sums make the converged Rayleigh quotient alternate between
+        # two values 1.4e-14 apart, above 4 eps |mu|; the iteration must stop.
+        man = make_space_form_ball(2, 1.0, 0.7248483029482324)
+        op = spectral.discretize(man, 0.0, 1200)
+        ref = eigvalsh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 0))
+        lam, v = smallest_eigenpair(op.diag, op.offdiag)
+        assert abs(lam - ref[0]) <= 1e-12 * _scale(op.diag, op.offdiag)
+        assert np.all(v > 0)
+
+    @pytest.mark.parametrize("case", ["interval", "stieltjes", "mixed"])
+    def test_accepted_shifts_below_lambda1(self, case, monkeypatch):
+        rng = np.random.default_rng(7)
+        if case == "interval":
+            diag, off, _ = _interval_matrix(300)
+        else:
+            diag, off = (_stieltjes if case == "stieltjes" else _mixed)(rng, 250)
+        lam1 = np.linalg.eigvalsh(_dense(diag, off))[0]
+        accepted, calls = [], []
+        inner = _tridiag.dptsv
+
+        def spy(d, e, b, *args, **kwargs):
+            out = inner(d, e, b, *args, **kwargs)
+            calls.append(out[-1])
+            if out[-1] == 0:
+                accepted.append(float(np.max(diag - d)))
+            return out
+
+        monkeypatch.setattr(_tridiag, "dptsv", spy)
+        lam, _ = smallest_eigenpair(diag, off)
+        blur = 8 * np.finfo(float).eps * _scale(diag, off)
+        assert accepted and max(accepted) <= lam1 + blur
+        assert len(accepted) <= _tridiag.MAX_STEPS
+        assert len(calls) <= 2 * _tridiag.MAX_STEPS
+        assert abs(lam - lam1) <= 1e-12 * _scale(diag, off)
+
+    def test_step_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(_tridiag, "MAX_STEPS", 1)
+        diag, off, _ = _interval_matrix(40)
+        with pytest.raises(NumericalFailureError, match="inverse iteration") as exc:
+            smallest_eigenpair(diag, off)
+        assert exc.value.details["m"] == 40
+        assert exc.value.details["steps"] == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inertia_agrees_with_sturm_count(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        m = int(rng.integers(2, 201))
+        diag, off = (_stieltjes if seed % 2 else _mixed)(rng, m)
+        w = np.linalg.eigvalsh(_dense(diag, off))
+        lo, hi = w[0] - 1.0, w[-1] + 1.0
+        xs = rng.uniform(lo, hi, 40)
+        near = np.min(np.abs(xs[:, None] - w[None, :]), axis=1)
+        xs = xs[near > 1e-6 * _scale(diag, off)]  # away from every eigenvalue
+        for x in np.concatenate((xs, [lo, w[0] - 1e-3, w[0] + 1e-3, hi])):
+            assert _below_spectrum(diag, off, x) == (_count(diag, off, -np.inf, x) == 0)
 
 
 @pytest.fixture
