@@ -68,6 +68,16 @@ def qw_enclosure(nu: float) -> tuple[float, float]:
     return (lower, upper)
 
 
+def _scan_limit(nu: float) -> float:
+    """Where the sign scan gives up: max(200, nu + 4 nu^(1/3) + 10).
+
+    This lies above the upper bound j_nu < nu + 1.8557571 nu^(1/3) +
+    1.033150 nu^(-1/3) (Qu & Wong, Trans. AMS 351, 1999) for every order;
+    below nu ~ 160 it is 200.
+    """
+    return max(_SCAN_MAX, nu + 4.0 * max(nu, 0.0) ** (1.0 / 3.0) + 10.0)
+
+
 def first_zero(nu: float) -> BesselZero:
     """First positive zero of J_nu: sign-scan bracket, bisection, Newton polish."""
     if nu < -0.5:
@@ -78,14 +88,15 @@ def first_zero(nu: float) -> BesselZero:
         raise NumericalFailureError(
             f"scan start J_{nu}({lo}) = {f_lo} is not positive", nu=nu
         )
+    scan_max = _scan_limit(nu)
     hi = lo
     f_hi = f_lo
     while f_hi > 0:
         lo, f_lo = hi, f_hi
         hi += _SCAN_STEP
-        if hi > _SCAN_MAX:
+        if hi > scan_max:
             raise NumericalFailureError(
-                f"no sign change of J_{nu} found below {_SCAN_MAX}", nu=nu
+                f"no sign change of J_{nu} found below {scan_max:g}", nu=nu
             )
         f_hi = float(special.jv(nu, hi))
     # bisect to a tight bracket, then Newton

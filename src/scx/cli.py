@@ -268,8 +268,9 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
         if man.kind == Kind.HYPERBOLIC_BALL:
             n, r = man.params
             lam0 = res.lambda1 + res.beta * n * (n - 1)  # beta * sigma = -beta n(n-1)
-            c = 4.0 * lam0 / (n - 1) ** 2 - 1.0 / r**2
+            c = comparison.hyperbolic_c_from_lambda(n, r, lam0)
             report["c_r"] = c
+            report["c_r_proven_window"] = list(comparison.hyperbolic_c_window(n, r))
             report["c_r_reference_window"] = [1.0 / 6.0, 1.0]
             report["within_reference_window"] = bool(1 / 6 <= c <= 1)
     elif method == "closed_form":

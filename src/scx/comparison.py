@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import first_zero
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import (
     ModelManifold,
@@ -188,13 +189,25 @@ def transplant_check(case: ComparisonCase, m: int = 1024) -> bool:
     return pointwise_ok and rq_ok
 
 
+def hyperbolic_c_from_lambda(n: int, r: float, lam: float) -> float:
+    """c(r) = 4 lam / (n-1)^2 - 1/r^2 for lam = lambda_1(-Lap on B^n_{-1}(r))."""
+    return 4.0 * lam / (n - 1) ** 2 - 1.0 / r**2
+
+
+def hyperbolic_c_window(n: int, r: float) -> tuple[float, float]:
+    """The proven bounds on c(r) of hyperbolic_c, from closed forms alone."""
+    lo, hi = sorted((math.pi**2, first_zero(n / 2.0 - 1.0).j ** 2))
+    k = 4.0 / (n - 1) ** 2
+    return (1.0 + (k * lo - 1.0) / r**2, 1.0 + (k * hi - 1.0) / r**2)
+
+
 def hyperbolic_c(n: int, r: float, m: int = DEFAULT_GRID) -> float:
     """c(r) = 4 lambda_1(-Lap on B^n_{-1}(r)) / (n-1)^2 - 1/r^2.
 
     Since lambda_1 - (n-1)^2/4 lies between pi^2/r^2 and j_nu^2/r^2 with
     nu = n/2 - 1 (module docstring), the exact value lies in
     [1 + (4 min(pi^2, j_nu^2)/(n-1)^2 - 1)/r^2,
-     1 + (4 max(pi^2, j_nu^2)/(n-1)^2 - 1)/r^2];
+     1 + (4 max(pi^2, j_nu^2)/(n-1)^2 - 1)/r^2] (hyperbolic_c_window);
     at n = 3 both ends equal 1 + (pi^2 - 1)/r^2.
     """
     if n < 2:
@@ -202,7 +215,7 @@ def hyperbolic_c(n: int, r: float, m: int = DEFAULT_GRID) -> float:
     if r <= 0:
         raise InvalidParameterError(f"radius must be positive, got {r}")
     lam = lambda1_beta(make_hyperbolic_ball(n, r), 0.0, m).lambda1
-    return 4.0 * lam / (n - 1) ** 2 - 1.0 / r**2
+    return hyperbolic_c_from_lambda(n, r, lam)
 
 
 def hyperbolic_sc(n: int, r: float, m: int = DEFAULT_GRID) -> float:

@@ -20,7 +20,15 @@ certificate and a Richardson extrapolation (4 lam(2m) - lam(m))/3.
 
 Solves are cached by (manifold key, beta, m) in one LRU cache holding at most
 _CACHE_BYTES of eigenfunction samples; least recently used entries are
-evicted first, and cached eigenfunctions are read-only arrays.
+evicted first, and cached eigenfunctions are read-only arrays.  The coarse
+grid of a two-grid solve contributes only its eigenvalue, so its entry holds
+no eigenfunction; a later request for that grid's eigenfunction solves it
+once more (deterministically, so to the same eigenvalue) and replaces the
+entry.
+
+Only what a result reads is computed: discretize never evaluates the drift
+A'/A, which Grid.drift computes from the profile on first read (the warped
+curvature fields are its only readers).
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._tridiag import smallest_eigenpair, tridiag_apply
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
-from .geometry import Kind, ModelManifold
+from .geometry import Kind, ModelManifold, RadialProfile
 
 DEFAULT_GRID = 4000
 DEFAULT_TOL = 1e-3
@@ -57,13 +66,20 @@ class Grid:
 
     nodes: np.ndarray
     h: float
-    drift: np.ndarray   # A'/A at the nodes; zero on intervals
     sigma: np.ndarray   # scalar curvature samples
     bc: BC
+    profile: RadialProfile | None = None  # None on intervals
 
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """A'/A at the nodes, computed on first read; zero on intervals."""
+        if self.profile is None:
+            return np.zeros(self.size)
+        return np.asarray(self.profile.drift(self.nodes), dtype=float)
 
     @property
     def eval_slice(self) -> slice:
@@ -131,9 +147,7 @@ def operator_grid(man: ModelManifold, m: int) -> Grid:
         a, b = man.params
         h = (b - a) / (m + 1)
         nodes = a + h * np.arange(1, m + 1)
-        zero = np.zeros(m)
-        return Grid(nodes=nodes, h=h, drift=zero, sigma=zero,
-                    bc=BC.DIRICHLET_BOTH)
+        return Grid(nodes=nodes, h=h, sigma=np.zeros(m), bc=BC.DIRICHLET_BOTH)
     if not man.is_radial:
         raise InvalidKindError(f"unsupported kind {man.kind}")
     prof = man.profile
@@ -141,9 +155,8 @@ def operator_grid(man: ModelManifold, m: int) -> Grid:
     nodes = (np.arange(m) + 0.5) * h
     return Grid(
         nodes=nodes, h=h,
-        drift=np.asarray(prof.drift(nodes), dtype=float),
         sigma=np.asarray(prof.scalar_curv(nodes), dtype=float),
-        bc=BC.DIRICHLET_OUTER_REGULAR_CENTER,
+        bc=BC.DIRICHLET_OUTER_REGULAR_CENTER, profile=prof,
     )
 
 
@@ -161,13 +174,17 @@ def _cell_log_masses(prof, m: int, h: float) -> np.ndarray:
     from linear; that inconsistency leaves a kink in the eigenvector at the
     coordinate center.  Quadrature in log space keeps steep densities (large
     hyperbolic balls) overflow-free.
+
+    The Gauss points lie in a (4, m) array, so each reduction is three
+    vector passes over contiguous rows; the sum still runs
+    ((w0 + w1) + w2) + w3 per cell.
     """
     centers = (np.arange(m) + 0.5) * h
-    pts = centers[:, None] + 0.5 * h * _GL_X[None, :]
+    pts = centers[None, :] + (0.5 * h * _GL_X)[:, None]
     logs = np.asarray(prof.log_density(pts), dtype=float) \
-        + np.log(0.5 * h * _GL_W)[None, :]
-    peak = logs.max(axis=1)
-    return peak + np.log(np.sum(np.exp(logs - peak[:, None]), axis=1))
+        + np.log(0.5 * h * _GL_W)[:, None]
+    peak = logs.max(axis=0)
+    return peak + np.log(np.sum(np.exp(logs - peak), axis=0))
 
 
 def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
@@ -204,22 +221,32 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     )
 
 
-def _lambda1_cached(man: ModelManifold, beta: float, m: int):
+def _nbytes(u: np.ndarray | None) -> int:
+    return 0 if u is None else u.nbytes
+
+
+def _lambda1_cached(man: ModelManifold, beta: float, m: int, vector: bool = True):
+    """(lambda_1, eigenfunction) at grid m; the eigenfunction is None unless
+    ``vector`` asked for it, and is then read-only."""
     global _cache_nbytes
     key = (man.key(), beta, m)
     hit = _cache.get(key)
-    if hit is not None:
+    if hit is not None and (hit[1] is not None or not vector):
         _cache.move_to_end(key)
         return hit
     op = discretize(man, beta, m)
-    lam, v = smallest_eigenpair(op.diag, op.offdiag)
-    u = op.unweight(v)
-    u.flags.writeable = False
+    if vector:
+        res = first_eigenpair(op)
+        lam, u = res.lambda1, res.eigenfunction
+        u.flags.writeable = False
+    else:
+        lam, u = smallest_eigenpair(op.diag, op.offdiag)[0], None
+    _cache.pop(key, None)  # an eigenvalue-only entry holds no bytes
     hit = _cache[key] = (lam, u)
-    _cache_nbytes += u.nbytes
+    _cache_nbytes += _nbytes(u)
     while _cache_nbytes > _CACHE_BYTES:
         _, (_, old) = _cache.popitem(last=False)
-        _cache_nbytes -= old.nbytes
+        _cache_nbytes -= _nbytes(old)
     return hit
 
 
@@ -232,7 +259,7 @@ def lambda1_beta(
     """First Dirichlet eigenvalue of -Lap + beta*sigma with a two-grid certificate."""
     if man.is_product_like:
         return eigen_product([lambda1_beta(f, beta, m, tol) for f in man.factors])
-    lam_c, _ = _lambda1_cached(man, beta, m)
+    lam_c, _ = _lambda1_cached(man, beta, m, vector=False)
     lam_f, u = _lambda1_cached(man, beta, 2 * m)
     cert = abs(lam_c - lam_f) / max(abs(lam_f), 1e-300)
     if cert >= 10 * tol:

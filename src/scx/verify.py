@@ -483,9 +483,15 @@ _SUITE_FUNCS = {
 
 def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckResult]:
     if name == "all":
+        # one suite's numerical failure becomes its failed check, so the
+        # other suites still report their verdicts
         results = []
-        for suite in _SUITE_FUNCS:
-            results.extend(_SUITE_FUNCS[suite](seed=seed, grid=grid))
+        for suite, func in _SUITE_FUNCS.items():
+            try:
+                results.extend(func(seed=seed, grid=grid))
+            except NumericalFailureError as exc:
+                results.append(_check(suite, "suite aborted", False, 0.0,
+                                      f"{exc}; details: {exc.details}"))
         return results
     if name not in _SUITE_FUNCS:
         raise InvalidParameterError(

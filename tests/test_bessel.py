@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scx.bessel import bessel_j, first_zero, flat_ball_sc, qw_enclosure
+from scx.bessel import _scan_limit, bessel_j, first_zero, flat_ball_sc, qw_enclosure
 from scx.errors import InvalidParameterError
 
 
@@ -101,6 +101,33 @@ class TestFirstZero:
         nus = np.arange(-0.5, 12.01, 0.25)
         zeros = [first_zero(float(v)).j for v in nus]
         assert np.all(np.diff(zeros) > 0)
+
+    def test_high_order_matches_scipy(self):
+        from scipy.special import jn_zeros
+
+        ref = float(jn_zeros(299, 1)[0])
+        assert ref == pytest.approx(311.5637146, abs=1e-7)
+        assert first_zero(299).j == pytest.approx(ref, rel=1e-12)
+
+    def test_high_half_order_has_no_earlier_sign_change(self):
+        nu = 299.5
+        z = first_zero(nu)
+        xs = np.linspace(nu, z.j, 4001)[:-1]
+        assert np.all(bessel_j(nu, xs) > 0)
+        assert abs(bessel_j(nu, z.j)) < 1e-10
+        assert bessel_j(nu, z.j + 0.05) < 0
+
+    @pytest.mark.parametrize("nu", [1.0, 10.0, 160.0, 299.0, 1e4, 1e6])
+    def test_scan_limit_above_qu_wong_bound(self, nu):
+        upper = nu + 1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3)
+        assert _scan_limit(nu) > upper
+
+    def test_scan_limit_never_below_old_limit(self):
+        # never below 200, so no order resolvable within 200 is refused
+        nus = np.arange(-0.5, 400.0, 0.25)
+        limits = np.array([_scan_limit(float(v)) for v in nus])
+        assert np.all(limits >= 200.0)
+        assert np.all(limits[nus < 160] == 200.0)
 
     def test_enclosure_attached_above_half(self):
         assert first_zero(0.25).enclosure is None

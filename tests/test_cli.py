@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scx import comparison, verify
 from scx.cli import main, parse_spec, render, table_rows
-from scx.errors import SpecSyntaxError
+from scx.errors import NumericalFailureError, SpecSyntaxError
 from scx.geometry import (
     make_box,
     make_hyperbolic_ball,
@@ -163,6 +164,12 @@ class TestComputeCommand:
         assert rep["sc_stab"] == pytest.approx(
             4 * math.pi**2 * (1 + 0.25 + 1 / 9), rel=1e-12)
 
+    def test_closed_form_high_dimensional_ball(self, capsys):
+        # j_299 = 311.56... lies above 200
+        assert main(["compute", "ball:n=600,r=1", "--method", "closed_form"]) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["sc_stab"] == pytest.approx(4 * 311.5637146339061**2, rel=1e-12)
+
     def test_closed_form_hemisphere(self, capsys):
         main(["compute", "hemisphere:n=4", "--method", "closed_form"])
         rep = json.loads(capsys.readouterr().out)[0]
@@ -185,6 +192,23 @@ class TestComputeCommand:
         rep = json.loads(capsys.readouterr().out)[0]
         assert rep["c_r"] == pytest.approx(1 + (math.pi**2 - 1) / 4, rel=1e-4)
         assert rep["within_reference_window"] is False
+
+    def test_hyperbolic_proven_window(self, capsys):
+        main(["compute", "hypball:n=3,r=2", "hypball:n=5,r=2", "--grid", "400"])
+        three, five = json.loads(capsys.readouterr().out)
+        lo, hi = three["c_r_proven_window"]
+        exact = 1 + (math.pi**2 - 1) / 4  # the window collapses at n = 3
+        assert lo == pytest.approx(exact, rel=1e-14)
+        assert hi == pytest.approx(exact, rel=1e-14)
+        lo, hi = five["c_r_proven_window"]
+        cert = 4 * five["certificate"] * abs(five["lambda1"]) / (5 - 1) ** 2
+        assert lo < hi and lo - cert <= five["c_r"] <= hi + cert
+        assert five["c_r_reference_window"] == [1 / 6, 1.0]
+
+    def test_hyperbolic_c_matches_library(self, capsys):
+        main(["compute", "hypball:n=4,r=1.5", "--grid", "400", "--beta", "0"])
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["c_r"] == comparison.hyperbolic_c(4, 1.5, 400)
 
     def test_csv_output(self, capsys):
         code = main(["compute", "interval:0,1", "--grid", "400", "--csv"])
@@ -310,6 +334,30 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+    def test_failing_suite_does_not_abort_all(self, capsys, monkeypatch):
+        def triples(payload):
+            return [(p["suite"], p["check"], p["passed"]) for p in payload
+                    if p["suite"] != "comparison"]
+
+        assert main(["verify", "all", "--seed", "0", "--json"]) == 4
+        before = triples(json.loads(capsys.readouterr().out))
+
+        def broken(seed=0, grid=None):
+            raise NumericalFailureError("inverse iteration failed to converge",
+                                        m=1200, steps=50)
+
+        monkeypatch.setitem(verify._SUITE_FUNCS, "comparison", broken)
+        assert main(["verify", "all", "--seed", "0", "--json"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert triples(payload) == before
+        aborted = [p for p in payload if p["suite"] == "comparison"]
+        assert len(aborted) == 1
+        assert aborted[0]["check"] == "suite aborted"
+        assert aborted[0]["passed"] is False
+        assert math.isfinite(aborted[0]["margin"])
+        assert "inverse iteration failed to converge" in aborted[0]["detail"]
+        assert "'steps': 50" in aborted[0]["detail"]
 
 
 def test_cli_import_defers_scipy_integrate():

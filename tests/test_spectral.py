@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scx import warped
 from scx._oracle2d import rectangle_lambda1
 from scx.bessel import first_zero
 from scx.errors import (
@@ -11,19 +12,25 @@ from scx.errors import (
     NumericalFailureError,
 )
 from scx.geometry import (
+    RadialProfile,
     make_box,
     make_hyperbolic_ball,
     make_interval,
+    make_radial_custom,
     make_space_form_ball,
     make_spherical_cap,
     product,
 )
 from scx.spectral import (
+    _GL_W,
+    _GL_X,
+    _cell_log_masses,
     discretize,
     eigen_product,
     exhaustion_limit,
     first_eigenpair,
     lambda1_beta,
+    operator_grid,
     sc_stab,
 )
 from scx.verify import nested_pairs
@@ -56,6 +63,94 @@ class TestDiscretize:
     def test_minimum_grid(self):
         with pytest.raises(InvalidParameterError):
             discretize(make_interval(0, 1), 0.25, 8)
+
+
+def _cell_log_masses_reference(prof, m, h):
+    """The (m, 4) Gauss-point layout, kept as the reference for the (4, m) one."""
+    centers = (np.arange(m) + 0.5) * h
+    pts = centers[:, None] + 0.5 * h * _GL_X[None, :]
+    logs = np.asarray(prof.log_density(pts), dtype=float) \
+        + np.log(0.5 * h * _GL_W)[None, :]
+    peak = logs.max(axis=1)
+    return peak + np.log(np.sum(np.exp(logs - peak[:, None]), axis=1))
+
+
+_MASS_CASES = {
+    "flat 8-ball": lambda: make_space_form_ball(8, 0.0, 1.0),
+    "hyperbolic 5-ball r=3": lambda: make_hyperbolic_ball(5, 3.0),
+    "hyperbolic 3-ball r=600": lambda: make_hyperbolic_ball(3, 600.0),
+    "4-cap angle 2": lambda: make_spherical_cap(4, 2.0),
+    "custom": lambda: make_radial_custom(
+        3, lambda d: np.sin(d) * np.exp(0.3 * d * d), 1.2),
+}
+
+
+class TestCellLogMasses:
+    @pytest.mark.parametrize("m", [500, 1000, 2000, 4000])
+    @pytest.mark.parametrize("case", sorted(_MASS_CASES))
+    def test_bitwise_equal_to_reference_layout(self, case, m):
+        prof = _MASS_CASES[case]().profile
+        h = prof.r_max / m
+        got = _cell_log_masses(prof, m, h)
+        assert got.shape == (m,)
+        assert np.array_equal(got, _cell_log_masses_reference(prof, m, h))
+
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_first_cell(self, n):
+        prof = make_space_form_ball(n, 0.0, 1.0).profile
+        m = 1000
+        h = prof.r_max / m
+        first = _cell_log_masses(prof, m, h)[0]
+        assert first == _cell_log_masses_reference(prof, m, h)[0]
+        # int_0^h d^(n-1) = h^n / n; the 4-point rule is exact to degree 7
+        exact = n * math.log(h) - math.log(n)
+        assert first == pytest.approx(exact, rel=1e-14 if n == 2 else 1e-3)
+
+
+class TestDriftOnDemand:
+    @pytest.fixture
+    def drift_calls(self, monkeypatch):
+        calls = []
+        inner = RadialProfile.drift
+
+        def spy(self, d):
+            calls.append(np.size(d))
+            return inner(self, d)
+
+        monkeypatch.setattr(RadialProfile, "drift", spy)
+        return calls
+
+    def test_solve_path_never_evaluates_drift(self, drift_calls):
+        for man in (make_space_form_ball(3, 0.0, 1.0), make_hyperbolic_ball(4, 2.0),
+                    make_spherical_cap(2, 1.0)):
+            discretize(man, 0.25, 128)
+            lambda1_beta(man, 0.25, 96)
+        assert drift_calls == []
+
+    def test_warped_fields_read_eager_values(self, drift_calls):
+        man = make_hyperbolic_ball(3, 2.0)
+        prof = man.profile
+        grid = operator_grid(man, 256)
+        assert drift_calls == []
+        eager = (2 * prof.warp_prime(grid.nodes) / prof.warp(grid.nodes)).astype(float)
+        assert np.array_equal(grid.drift, eager)
+        assert drift_calls == [256]
+        grid.drift  # cached on the grid
+        assert drift_calls == [256]
+
+        def theta(d):
+            return np.cos(0.5 * d)
+
+        got = warped.theta_form(man, theta, 256)
+        assert drift_calls == [256, 256]
+        phi = theta(grid.nodes)
+        lap = (warped._d2(phi, grid.h) + eager * warped._d1(phi, grid.h)) / phi
+        assert np.array_equal(got, (grid.sigma - 4.0 * lap)[grid.eval_slice])
+
+    def test_interval_drift_is_zero(self, drift_calls):
+        grid = operator_grid(make_interval(0.0, 2.0), 64)
+        assert np.array_equal(grid.drift, np.zeros(64))
+        assert drift_calls == []
 
 
 class TestFirstEigenpair:

@@ -11,7 +11,12 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scx import _tridiag, spectral
 from scx._tridiag import _below_spectrum, _count, smallest_eigenpair
 from scx.errors import NumericalFailureError
-from scx.geometry import make_hyperbolic_ball, make_interval, make_space_form_ball
+from scx.geometry import (
+    make_hyperbolic_ball,
+    make_interval,
+    make_space_form_ball,
+    product,
+)
 
 
 def _interval_matrix(m):
@@ -223,15 +228,17 @@ def fresh_cache(monkeypatch):
 
 
 def _held():
-    return sum(u.nbytes for _, u in spectral._cache.values())
+    return sum(u.nbytes for _, u in spectral._cache.values() if u is not None)
 
 
 class TestSolveCache:
     def test_bytes_held_never_exceed_budget(self, fresh_cache):
         budget = spectral._CACHE_BYTES
-        m = 16000  # one (m, 2m) solve pair holds 8 * 3m = 384 KB
-        specs = [make_interval(0.0, 1.0 + 0.125 * k) for k in range(14)]
-        assert 24 * m * len(specs) > budget
+        # one (m, 2m) solve pair holds 8 * 2m = 256 KB: the coarse grid
+        # keeps its eigenvalue only
+        m = 16000
+        specs = [make_interval(0.0, 1.0 + 0.125 * k) for k in range(20)]
+        assert 16 * m * len(specs) > budget
         for man in specs:
             spectral.lambda1_beta(man, 0.25, m)
             assert _held() == spectral._cache_nbytes <= budget
@@ -262,6 +269,46 @@ class TestSolveCache:
         again = spectral.lambda1_beta(man, 0.25, 64)
         assert len(calls) == 2
         assert again.lambda1 == first.lambda1
+
+    def test_coarse_grid_never_unweighted(self, fresh_cache, monkeypatch):
+        calls = []
+        inner = spectral.DiscreteOperator.unweight
+
+        def spy(self, v):
+            calls.append(self.grid.size)
+            return inner(self, v)
+
+        monkeypatch.setattr(spectral.DiscreteOperator, "unweight", spy)
+        ball = make_space_form_ball(3, 0.0, 1.25)
+        spectral.lambda1_beta(product([make_interval(0.0, 2.0), ball]), 0.25, 64)
+        assert calls == [128, 128]  # one per leaf, on its fine grid
+        assert spectral._cache[(ball.key(), 0.25, 64)][1] is None
+        assert _held() == spectral._cache_nbytes == 2 * 8 * 128
+        assert spectral.lambda1_beta(ball, 0.25, 64).eigenfunction.size == 128
+        assert calls == [128, 128]
+
+    def test_coarse_key_solved_again_for_its_vector(self, fresh_cache, monkeypatch):
+        calls = []
+        inner = spectral.discretize
+
+        def counting(*args):
+            calls.append(args[2])
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, "discretize", counting)
+        man = make_hyperbolic_ball(4, 1.5)
+        key = (man.key(), 0.25, 64)
+        spectral.lambda1_beta(man, 0.25, 64)              # grids 64, 128
+        lam_only, u_none = spectral._cache[key]
+        assert u_none is None
+        finer = spectral.lambda1_beta(man, 0.25, 32)      # grid 64 again, with u
+        assert calls == [64, 128, 32, 64]
+        lam, u = spectral._cache[key]
+        assert lam == lam_only and finer.lambda1 == lam
+        assert u is not None and finer.eigenfunction is u
+        spectral.lambda1_beta(man, 0.25, 32)
+        spectral.lambda1_beta(man, 0.25, 64)
+        assert calls == [64, 128, 32, 64]  # both entries now serve every request
 
     def test_cached_eigenfunction_read_only(self, fresh_cache):
         res = spectral.lambda1_beta(make_interval(0.0, 1.5), 0.25, 64)
