@@ -123,6 +123,22 @@ def random_curvature(m: int, fiber_dim: int, rng) -> CurvatureData:
     return make_curvature(m, fiber_dim, blocks)
 
 
+def _assemble(rep: CliffordRep, R: np.ndarray) -> np.ndarray:
+    """1/2 sum_{i,j} (e_i e_j) (x) R[i, j] as one (s f) x (s f) matrix."""
+    E = np.stack(rep.gammas)
+    G = E[:, None] @ E[None, :]  # G[i, j] = e_i e_j
+    s, f = E.shape[-1], R.shape[-1]
+    return (0.5 * np.einsum("ijac,ijbd->abcd", G, R)).reshape(s * f, s * f)
+
+
+def _lift(R: np.ndarray, other_dim: int, side: str) -> np.ndarray:
+    """Blocks R[i, j] (x) 1 (side "first") or 1 (x) R[i, j] ("second")."""
+    m, f = R.shape[0], R.shape[-1]
+    eye = np.eye(other_dim, dtype=complex)
+    spec = "ijac,bd->ijabcd" if side == "first" else "ijbd,ac->ijabcd"
+    return np.einsum(spec, R, eye).reshape(m, m, f * other_dim, f * other_dim)
+
+
 def curvature_endomorphism(rep: CliffordRep, data: CurvatureData) -> CurvatureEndomorphism:
     """K = 1/2 sum_{i,j} (e_i e_j) (x) R_ij with its least eigenvalue."""
     if rep.m != data.m:
@@ -130,13 +146,7 @@ def curvature_endomorphism(rep: CliffordRep, data: CurvatureData) -> CurvatureEn
             f"tangent dimensions differ: rep has {rep.m}, curvature has {data.m}"
         )
     data.validate()
-    size = rep.spinor_dim * data.fiber_dim
-    K = np.zeros((size, size), dtype=complex)
-    for i in range(rep.m):
-        for j in range(rep.m):
-            if i == j:
-                continue
-            K += 0.5 * np.kron(rep.gammas[i] @ rep.gammas[j], data.R[i, j])
+    K = _assemble(rep, data.R)
     herm_defect = float(np.max(np.abs(K - K.conj().T)))
     if herm_defect > 1e-10:
         raise NumericalFailureError(
@@ -155,16 +165,8 @@ def tensor_curvature(d1: CurvatureData, d2: CurvatureData) -> CurvatureData:
         raise InvalidParameterError(
             f"tangent dimensions differ: {d1.m} vs {d2.m}"
         )
-    f1, f2 = d1.fiber_dim, d2.fiber_dim
-    eye1 = np.eye(f1, dtype=complex)
-    eye2 = np.eye(f2, dtype=complex)
-    R = np.zeros((d1.m, d1.m, f1 * f2, f1 * f2), dtype=complex)
-    for i in range(d1.m):
-        for j in range(d1.m):
-            if i == j:
-                continue
-            R[i, j] = np.kron(d1.R[i, j], eye2) + np.kron(eye1, d2.R[i, j])
-    data = CurvatureData(m=d1.m, fiber_dim=f1 * f2, R=R)
+    R = _lift(d1.R, d2.fiber_dim, "first") + _lift(d2.R, d1.fiber_dim, "second")
+    data = CurvatureData(m=d1.m, fiber_dim=d1.fiber_dim * d2.fiber_dim, R=R)
     data.validate()
     return data
 
@@ -177,16 +179,5 @@ def partial_spectrum(rep: CliffordRep, data: CurvatureData, other_dim: int, side
     """
     if side not in ("first", "second"):
         raise InvalidParameterError(f"side must be 'first' or 'second', got {side}")
-    eye = np.eye(other_dim, dtype=complex)
-    size = rep.spinor_dim * data.fiber_dim * other_dim
-    K = np.zeros((size, size), dtype=complex)
-    for i in range(rep.m):
-        for j in range(rep.m):
-            if i == j:
-                continue
-            if side == "first":
-                block = np.kron(data.R[i, j], eye)
-            else:
-                block = np.kron(eye, data.R[i, j])
-            K += 0.5 * np.kron(rep.gammas[i] @ rep.gammas[j], block)
+    K = _assemble(rep, _lift(data.R, other_dim, side))
     return np.linalg.eigvalsh(0.5 * (K + K.conj().T))

@@ -41,6 +41,10 @@ from .geometry import (
 from .spectral import DEFAULT_GRID, discretize, lambda1_beta, operator_grid, sc_stab
 
 _ADMISSIBILITY_TOL = 1e-9
+# model_eigenfunction: degree of the collocated Chebyshev series, and the
+# largest of its last four coefficients accepted, relative to the largest one
+_CHEB_DEGREE = 64
+_CHEB_TAIL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -130,30 +134,36 @@ def compare_sc_stab(case: ComparisonCase, m: int = DEFAULT_GRID) -> tuple[float,
 def model_eigenfunction(model: ModelManifold, lam: float):
     """First Laplace eigenfunction of a space-form ball as a smooth callable.
 
-    Integrates phi'' + drift(rho) phi' + lam phi = 0 outward from a series
-    start at the regular center; normalized phi(0) = 1.
+    Chebyshev collocation of sn phi'' + (n-1) sn' phi' + lam sn phi = 0 on
+    [0, r] at the Lobatto points other than rho = r, plus the row phi(0) = 1;
+    at rho = 0 the equation itself reads phi'(0) = 0.  Raises
+    NumericalFailureError if the series' trailing coefficients have not
+    decayed: on caps reaching near the antipode, and on balls of curvature
+    -1 with radius above 23 (n = 6) to 45 (n = 2); see README.
     """
-    from scipy.integrate import solve_ivp
+    from numpy.polynomial import chebyshev as cheb
 
     prof = model.profile
-    n = model.dim
-    r = prof.r_max
-
-    def rhs(rho, y):
-        drift = (n - 1) * float(prof.warp_prime(rho)) / float(prof.warp(rho))
-        return [y[1], -drift * y[1] - lam * y[0]]
-
-    rho0 = 1e-8 * r
-    y0 = [1.0 - lam * rho0**2 / (2 * n), -lam * rho0 / n]
-    sol = solve_ivp(rhs, (rho0, r), y0, method="DOP853",
-                    rtol=1e-11, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise InvalidParameterError(f"eigenfunction integration failed: {sol.message}")
+    n, r, deg = model.dim, prof.r_max, _CHEB_DEGREE
+    x = np.cos(np.pi * np.arange(1, deg + 1) / deg)
+    rho = 0.5 * r * (1.0 + x)
+    sn, snp = prof.warp(rho)[:, None], prof.warp_prime(rho)[:, None]
+    eye = np.eye(deg + 1)
+    d1, d2 = ((2.0 / r) ** k * cheb.chebval(x, cheb.chebder(eye, k)).T for k in (1, 2))
+    ode = sn * d2 + (n - 1) * snp * d1 + lam * sn * cheb.chebvander(x, deg)
+    # rows scaled to max-norm 1: their raw sizes span orders of magnitude,
+    # which costs digits where phi is small, next to rho = r
+    rows = np.vstack([ode / np.max(np.abs(ode), axis=1, keepdims=True),
+                      (-1.0) ** np.arange(deg + 1)])
+    coef = np.linalg.solve(rows, eye[-1])
+    tail = float(np.max(np.abs(coef[-4:])) / np.max(np.abs(coef)))
+    if not tail <= _CHEB_TAIL_TOL:
+        raise NumericalFailureError(
+            f"model eigenfunction not resolved at Chebyshev degree {deg}",
+            n=n, r=r, lam=lam, tail=tail)
 
     def phi(rho):
-        rho = np.asarray(rho, dtype=float)
-        clipped = np.clip(rho, rho0, r)
-        return sol.sol(clipped)[0]
+        return cheb.chebval(2.0 * np.clip(rho, 0.0, r) / r - 1.0, coef)
 
     return phi
 

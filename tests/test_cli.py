@@ -365,3 +365,13 @@ def test_cli_import_defers_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_verify_all_loads_no_integrator():
+    # a whole verify pass, not only the import, stays clear of
+    # scipy.integrate and the scipy.optimize it pulls in
+    code = ("import sys; from scx.verify import run_suite; run_suite('all', seed=0); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -155,3 +155,53 @@ class TestAdditivity:
                           gammas=tuple(q @ g @ q.conj().T for g in rep.gammas))
         spec_rot = np.linalg.eigvalsh(curvature_endomorphism(rot, data).matrix)
         assert np.allclose(spec, spec_rot, atol=1e-9)
+
+
+# loop assemblies kept as references for the vectorized ones
+def _endomorphism_loop(rep, data):
+    size = rep.spinor_dim * data.fiber_dim
+    K = np.zeros((size, size), dtype=complex)
+    for i in range(rep.m):
+        for j in range(rep.m):
+            if i != j:
+                K += 0.5 * np.kron(rep.gammas[i] @ rep.gammas[j], data.R[i, j])
+    return 0.5 * (K + K.conj().T)
+
+
+def _tensor_loop(d1, d2):
+    f1, f2 = d1.fiber_dim, d2.fiber_dim
+    R = np.zeros((d1.m, d1.m, f1 * f2, f1 * f2), dtype=complex)
+    for i in range(d1.m):
+        for j in range(d1.m):
+            if i != j:
+                R[i, j] = (np.kron(d1.R[i, j], np.eye(f2, dtype=complex))
+                           + np.kron(np.eye(f1, dtype=complex), d2.R[i, j]))
+    return R
+
+
+def _partial_loop(rep, data, other_dim, side):
+    eye = np.eye(other_dim, dtype=complex)
+    size = rep.spinor_dim * data.fiber_dim * other_dim
+    K = np.zeros((size, size), dtype=complex)
+    for i in range(rep.m):
+        for j in range(rep.m):
+            if i != j:
+                block = (np.kron(data.R[i, j], eye) if side == "first"
+                         else np.kron(eye, data.R[i, j]))
+                K += 0.5 * np.kron(rep.gammas[i] @ rep.gammas[j], block)
+    return np.linalg.eigvalsh(0.5 * (K + K.conj().T))
+
+
+class TestVectorizedAssembly:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_bitwise_equal_to_loops(self, m, rng):
+        rep = build_clifford(m)
+        for _ in range(12):
+            d1 = random_curvature(m, int(rng.integers(1, 5)), rng)
+            d2 = random_curvature(m, int(rng.integers(1, 4)), rng)
+            assert np.array_equal(curvature_endomorphism(rep, d1).matrix,
+                                  _endomorphism_loop(rep, d1))
+            assert np.array_equal(tensor_curvature(d1, d2).R, _tensor_loop(d1, d2))
+            for side in ("first", "second"):
+                assert np.array_equal(partial_spectrum(rep, d1, d2.fiber_dim, side),
+                                      _partial_loop(rep, d1, d2.fiber_dim, side))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, jv
 
 from scx.bessel import first_zero
 from scx.comparison import (
@@ -25,7 +26,7 @@ from scx.geometry import (
     make_space_form_ball,
     make_spherical_cap,
 )
-from scx.spectral import SpectralResult, lambda1_beta, sc_stab
+from scx.spectral import SpectralResult, discretize, lambda1_beta, sc_stab
 
 
 class TestCaseConstruction:
@@ -148,7 +149,59 @@ class TestTransplant:
         phi = model_eigenfunction(model, lam)
         rho = np.linspace(0.05, 0.95, 19)
         expect = np.sin(math.pi * rho) / (math.pi * rho)
-        assert np.allclose(phi(rho), expect, atol=1e-6)
+        assert np.allclose(phi(rho), expect, atol=1e-10)
+
+
+def _closed_form_phi(n, kappa, lam, rho):
+    """The solution with phi(0) = 1 of the radial equation, where one is known."""
+    if n == 3:  # (sn phi)'' = -(lam + kappa) sn phi
+        k = math.sqrt(lam + kappa)
+        return np.sin(k * rho) / (k * make_space_form_ball(3, kappa, 1.0).profile.warp(rho))
+    assert kappa == 0
+    nu, k = n / 2 - 1, math.sqrt(lam)
+    return gamma(nu + 1) * (2 / (k * rho)) ** nu * jv(nu, k * rho)
+
+
+class TestModelEigenfunction:
+    # catalogs holding n = 3 models of every sign of kappa (up to r = 2.87 at
+    # kappa = 1) and flat models of n = 2 and 4; (0.0, 13) holds the flat
+    # 4-ball of radius 220.3, on whose nodes the phi(r) = 0 end is steepest
+    @pytest.mark.parametrize("kappa,seed", [(1.0, 6), (1.0, 7), (0.0, 10), (0.0, 13),
+                                            (-1.0, 3), (-1.0, 13)])
+    def test_closed_forms_on_transplant_nodes(self, kappa, seed):
+        m = 600
+        checked = 0
+        for case in admissible_catalog(kappa, 6, seed=seed):
+            if case.n != 3 and kappa != 0:
+                continue
+            model = case.model
+            lam = lambda1_beta(model, 0.0, m).richardson_estimate
+            nodes = discretize(case.manifold, 0.0, m).grid.nodes
+            rho = model.profile.r_max - (case.manifold.profile.r_max - nodes)
+            expect = _closed_form_phi(case.n, kappa, lam, rho)
+            got = model_eigenfunction(model, lam)(rho)
+            assert np.max(np.abs(got / expect - 1)) <= 1e-10, (case.n, model.profile.r_max)
+            checked += 1
+        assert checked >= 2
+
+    def test_large_flat_model(self):
+        model = admissible_catalog(0.0, 6, seed=13)[1].model
+        assert model.profile.r_max == pytest.approx(220.316, abs=1e-3)
+        assert model.dim == 4
+
+    def test_unresolved_series_raises(self):
+        # a cap reaching close to the antipode: sn(r) = 0.04 puts the
+        # singular point of the equation next to the interval
+        model = make_space_form_ball(3, 1.0, 3.1)
+        with pytest.raises(NumericalFailureError, match="not resolved") as exc:
+            model_eigenfunction(model, math.pi**2 / 3.1**2 - 1)
+        assert exc.value.details["tail"] > 1e-11
+
+    def test_argument_clipped_to_ball(self):
+        model = make_space_form_ball(3, 0, 1)
+        phi = model_eigenfunction(model, math.pi**2)
+        assert phi(-0.5) == phi(0.0) == pytest.approx(1.0, abs=1e-14)
+        assert phi(2.0) == phi(1.0)
 
 
 class TestHyperbolic:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scx import warped
-from scx._oracle2d import rectangle_lambda1
+from scx._oracle2d import five_point_laplacian, rectangle_lambda1
 from scx.bessel import first_zero
 from scx.errors import (
     InvalidKindError,
@@ -297,6 +297,30 @@ class TestEigenProduct:
         oracle = 4 * rectangle_lambda1(1.0, 2.0)
         got = eigen_product([make_interval(0, 1), make_interval(0, 2)], 600)
         assert got.sc_stab == pytest.approx(oracle, rel=5e-3)
+
+    @pytest.mark.parametrize("a,b,target_h", [(1.0, 2.0, 1 / 64), (0.3, 1.7, 1 / 64),
+                                              (0.05, 0.05, 1 / 64)])
+    def test_oracle_matrix_equals_stencil_loop(self, a, b, target_h):
+        # the five-point stencil written out node by node, unknown i * ny + j
+        nx = max(int(round(a / target_h)) - 1, 8)
+        ny = max(int(round(b / target_h)) - 1, 8)
+        hx, hy = a / (nx + 1), b / (ny + 1)
+        want = {}
+        for i in range(nx):
+            for j in range(ny):
+                k = i * ny + j
+                want[k, k] = 2.0 / hx**2 + 2.0 / hy**2
+                if i > 0:
+                    want[k, k - ny] = -1.0 / hx**2
+                if i < nx - 1:
+                    want[k, k + ny] = -1.0 / hx**2
+                if j > 0:
+                    want[k, k - 1] = -1.0 / hy**2
+                if j < ny - 1:
+                    want[k, k + 1] = -1.0 / hy**2
+        got = five_point_laplacian(a, b, target_h).tocoo()
+        assert got.shape == (nx * ny, nx * ny)
+        assert dict(zip(zip(got.row.tolist(), got.col.tolist()), got.data.tolist())) == want
 
     def test_box_equals_product_of_intervals(self):
         box = sc_stab(make_box([1.0, 2.0, 3.0]), 400).sc_stab
