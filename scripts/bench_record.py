@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Record end-to-end benchmark medians in BENCH_<pr>.json at the repo root.
 
-    python3 scripts/bench_record.py --pr 8 --seeds 71 72 73
-    python3 scripts/bench_record.py --pr 8 --seeds 71 72 73 --base HEAD~1
+    python3 scripts/bench_record.py --pr 8 --base HEAD~1 --seeds 71 72 73
 
-Runs ``python3 perfbench/run.py --workload all --trace 0`` once per seed in
-the working tree ("change") and, with ``--base``, in a ``git archive`` export
-of that revision ("parent"); the two sides alternate, and which runs first
-alternates from seed to seed, so that drift in the machine's speed reaches
-both alike.  For each side the file holds the commit, the ``src/scx`` line
-count, every run's end-to-end metrics and their per-workload medians and
-quartiles; with ``--base`` it also counts, per metric, the seeds on which
-the change read better than the parent (``better`` from BENCHMARK.json).
+Runs ``python3 perfbench/run.py --workload all --seconds 15 --trace 0`` once
+per seed in the working tree ("change") and in a ``git archive`` export of
+the ``--base`` revision ("parent"); the two sides alternate, and which runs
+first alternates from seed to seed, so that drift in the machine's speed
+reaches both alike.  The run length is fixed so that every BENCH file is
+comparable with the others.  For each side the file holds the commit, the
+``src/scx`` line count, every run's end-to-end metrics and their
+per-workload medians and quartiles; it also counts, per metric, the seeds on
+which the change read better than the parent (``better`` from
+BENCHMARK.json).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import tempfile
 from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 15.0
 
 
 def git(*args: str, **kw) -> subprocess.CompletedProcess:
@@ -44,10 +46,10 @@ def src_lines(checkout: str) -> int:
     return total
 
 
-def run_bench(checkout: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: str, seed: int) -> dict:
     """{workload: {metric: value}} from one ``run.py --workload all`` run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -86,22 +88,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--base", help="git revision to measure as the parent")
+    parser.add_argument("--base", required=True,
+                        help="git revision to measure as the parent")
     args = parser.parse_args(argv)
 
-    sides = {"change": {"checkout": ROOT,
-                        "commit": git("rev-parse", "HEAD", text=True).stdout.strip(),
-                        "dirty": bool(git("status", "--porcelain", "--untracked-files=no",
-                                          text=True).stdout.strip())}}
     with tempfile.TemporaryDirectory() as tmp:
-        if args.base:
-            commit = git("rev-parse", args.base, text=True).stdout.strip()
-            archive = git("archive", commit).stdout
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(tmp)
-            sides = {"parent": {"checkout": tmp, "commit": commit, "dirty": False},
-                     **sides}
+        commit = git("rev-parse", args.base, text=True).stdout.strip()
+        with tarfile.open(fileobj=io.BytesIO(git("archive", commit).stdout)) as tar:
+            tar.extractall(tmp)
+        sides = {"parent": {"checkout": tmp, "commit": commit, "dirty": False},
+                 "change": {"checkout": ROOT,
+                            "commit": git("rev-parse", "HEAD", text=True).stdout.strip(),
+                            "dirty": bool(git("status", "--porcelain", "--untracked-files=no",
+                                              text=True).stdout.strip())}}
         for side in sides.values():
             side["src_scx_lines"] = src_lines(side["checkout"])
             side["runs"] = []
@@ -109,18 +108,17 @@ def main(argv=None) -> int:
             for name in list(sides)[::1 if i % 2 == 0 else -1]:
                 print(f"seed {seed}: {name}", file=sys.stderr, flush=True)
                 sides[name]["runs"].append(
-                    run_bench(sides[name]["checkout"], seed, args.seconds))
+                    run_bench(sides[name]["checkout"], seed))
     for side in sides.values():
         del side["checkout"]
         side["medians"] = summary(side["runs"], median)
         side["quartiles"] = summary(side["runs"], quartiles)
-    if "parent" in sides:
-        sides["change_wins"] = wins(sides["parent"]["runs"], sides["change"]["runs"])
+    sides["change_wins"] = wins(sides["parent"]["runs"], sides["change"]["runs"])
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"command": "python3 perfbench/run.py --workload all --trace 0",
-                   "seeds": args.seeds, "seconds": args.seconds, **sides},
+                   "seeds": args.seeds, "seconds": SECONDS, **sides},
                   fh, indent=1)
         fh.write("\n")
     print(path)

@@ -41,9 +41,10 @@ from .geometry import (
 from .spectral import DEFAULT_GRID, discretize, lambda1_beta, operator_grid, sc_stab
 
 _ADMISSIBILITY_TOL = 1e-9
-# model_eigenfunction: degree of the collocated Chebyshev series, and the
-# largest of its last four coefficients accepted, relative to the largest one
-_CHEB_DEGREE = 64
+# model_eigenfunction: degrees of the collocated Chebyshev series, tried in
+# turn, and the largest of its last four coefficients accepted, relative to
+# the largest one
+_CHEB_DEGREES = (64, 128, 256)
 _CHEB_TAIL_TOL = 1e-11
 
 
@@ -136,28 +137,31 @@ def model_eigenfunction(model: ModelManifold, lam: float):
 
     Chebyshev collocation of sn phi'' + (n-1) sn' phi' + lam sn phi = 0 on
     [0, r] at the Lobatto points other than rho = r, plus the row phi(0) = 1;
-    at rho = 0 the equation itself reads phi'(0) = 0.  Raises
-    NumericalFailureError if the series' trailing coefficients have not
-    decayed: on caps reaching near the antipode, and on balls of curvature
-    -1 with radius above 23 (n = 6) to 45 (n = 2); see README.
+    at rho = 0 the equation itself reads phi'(0) = 0.  A series whose
+    trailing coefficients have not decayed is collocated again at a higher
+    degree; at the highest one it raises NumericalFailureError instead (caps
+    reaching closer to the antipode than the eigensolver does; see README).
     """
     from numpy.polynomial import chebyshev as cheb
 
     prof = model.profile
-    n, r, deg = model.dim, prof.r_max, _CHEB_DEGREE
-    x = np.cos(np.pi * np.arange(1, deg + 1) / deg)
-    rho = 0.5 * r * (1.0 + x)
-    sn, snp = prof.warp(rho)[:, None], prof.warp_prime(rho)[:, None]
-    eye = np.eye(deg + 1)
-    d1, d2 = ((2.0 / r) ** k * cheb.chebval(x, cheb.chebder(eye, k)).T for k in (1, 2))
-    ode = sn * d2 + (n - 1) * snp * d1 + lam * sn * cheb.chebvander(x, deg)
-    # rows scaled to max-norm 1: their raw sizes span orders of magnitude,
-    # which costs digits where phi is small, next to rho = r
-    rows = np.vstack([ode / np.max(np.abs(ode), axis=1, keepdims=True),
-                      (-1.0) ** np.arange(deg + 1)])
-    coef = np.linalg.solve(rows, eye[-1])
-    tail = float(np.max(np.abs(coef[-4:])) / np.max(np.abs(coef)))
-    if not tail <= _CHEB_TAIL_TOL:
+    n, r = model.dim, prof.r_max
+    for deg in _CHEB_DEGREES:
+        x = np.cos(np.pi * np.arange(1, deg + 1) / deg)
+        rho = 0.5 * r * (1.0 + x)
+        sn, snp = prof.warp(rho)[:, None], prof.warp_prime(rho)[:, None]
+        eye = np.eye(deg + 1)
+        d1, d2 = ((2.0 / r) ** k * cheb.chebval(x, cheb.chebder(eye, k)).T for k in (1, 2))
+        ode = sn * d2 + (n - 1) * snp * d1 + lam * sn * cheb.chebvander(x, deg)
+        # rows scaled to max-norm 1: their raw sizes span orders of magnitude,
+        # which costs digits where phi is small, next to rho = r
+        rows = np.vstack([ode / np.max(np.abs(ode), axis=1, keepdims=True),
+                          (-1.0) ** np.arange(deg + 1)])
+        coef = np.linalg.solve(rows, eye[-1])
+        tail = float(np.max(np.abs(coef[-4:])) / np.max(np.abs(coef)))
+        if tail <= _CHEB_TAIL_TOL:
+            break
+    else:
         raise NumericalFailureError(
             f"model eigenfunction not resolved at Chebyshev degree {deg}",
             n=n, r=r, lam=lam, tail=tail)

@@ -189,13 +189,28 @@ class TestModelEigenfunction:
         assert model.profile.r_max == pytest.approx(220.316, abs=1e-3)
         assert model.dim == 4
 
+    def test_cap_near_antipode_resolved_at_higher_degree(self):
+        # sn(r) = 0.04 puts the singular point of the equation next to the
+        # interval; degree 64 leaves a tail above 1e-11, a larger one does not
+        r = 3.1
+        lam = math.pi**2 / r**2 - 1
+        rho = np.linspace(1e-3, r - 1e-3, 401)
+        got = model_eigenfunction(make_space_form_ball(3, 1.0, r), lam)(rho)
+        assert np.max(np.abs(got / _closed_form_phi(3, 1.0, lam, rho) - 1)) <= 1e-10
+
     def test_unresolved_series_raises(self):
-        # a cap reaching close to the antipode: sn(r) = 0.04 puts the
-        # singular point of the equation next to the interval
-        model = make_space_form_ball(3, 1.0, 3.1)
+        # sn(r) = 0.0016: not resolved even at the largest degree
+        r = 3.14
+        model = make_space_form_ball(3, 1.0, r)
         with pytest.raises(NumericalFailureError, match="not resolved") as exc:
-            model_eigenfunction(model, math.pi**2 / 3.1**2 - 1)
+            model_eigenfunction(model, math.pi**2 / r**2 - 1)
         assert exc.value.details["tail"] > 1e-11
+
+    def test_transplant_check_on_cap_model_near_antipode(self):
+        # model radius 3.021, beyond what a degree-64 series resolves
+        case = make_comparison_case(make_space_form_ball(3, 1.0, 2.9), 1.0, -16.5)
+        assert case.model.profile.r_max == pytest.approx(3.021, abs=1e-3)
+        assert transplant_check(case, 600) is True
 
     def test_argument_clipped_to_ball(self):
         model = make_space_form_ball(3, 0, 1)
