@@ -9,7 +9,14 @@ product additivity, space-form comparison inequalities, and the
 finite-dimensional twisted Clifford curvature term.
 """
 
-from .bessel import BesselZero, bessel_j, first_zero, flat_ball_sc, qw_enclosure
+from .bessel import (
+    BesselZero,
+    bessel_j,
+    closed_form,
+    first_zero,
+    flat_ball_sc,
+    qw_enclosure,
+)
 from .clifford import (
     CliffordRep,
     CurvatureData,
@@ -73,7 +80,8 @@ from .warped import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselZero", "bessel_j", "first_zero", "flat_ball_sc", "qw_enclosure",
+    "BesselZero", "bessel_j", "closed_form", "first_zero", "flat_ball_sc",
+    "qw_enclosure",
     "CliffordRep", "CurvatureData", "CurvatureEndomorphism", "build_clifford",
     "curvature_endomorphism", "make_curvature", "tensor_curvature",
     "ComparisonCase", "compare_sc_stab", "hyperbolic_c", "hyperbolic_sc",

@@ -1,10 +1,11 @@
-"""Bessel functions J_nu, their first positive zeros, and ball closed forms.
+"""Bessel functions J_nu, their first positive zeros, and the closed forms.
 
 The first Dirichlet eigenvalue of the Laplacian on the unit flat n-ball is
 j_nu^2 for nu = n/2 - 1, so the stabilized curvature of the flat ball is
 4 j_nu^2 / r^2.  The zero finder brackets by a sign scan and polishes with
 Newton steps; the enclosure formula gives a priori two-sided bounds for
-nu > 1/2.
+nu > 1/2.  closed_form is the package's one table of exact first
+eigenvalues, the independent route that checks the eigensolve.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError, NumericalFailureError
+from .geometry import Kind, ModelManifold, make_space_form_ball
 
 # Enclosure constant a = (9 pi / 8)^(2/3) (1 + eps) with eps at its stated
 # bound 0.13 (8 / (2.847 pi))^2.  The base value (9 pi/8)^(2/3) ~ 2.32; the
@@ -130,9 +132,32 @@ def first_zero(nu: float) -> BesselZero:
 
 def flat_ball_sc(n: int, r: float) -> float:
     """Stabilized curvature 4 j_{n/2-1}^2 / r^2 of the flat n-ball of radius r."""
-    if n < 2:
-        raise InvalidParameterError(f"ball dimension must be >= 2, got {n}")
-    if r <= 0:
-        raise InvalidParameterError(f"ball radius must be positive, got {r}")
-    nu = n / 2.0 - 1.0
-    return 4.0 * first_zero(nu).j ** 2 / r**2
+    return 4.0 * closed_form(make_space_form_ball(n, 0.0, r))
+
+
+def closed_form(man: ModelManifold, beta: float = 0.25) -> float:
+    """lambda_1(-Lap + beta Sc) where it is known exactly; sc is 4x this at 1/4.
+
+    Intervals of length L: pi^2/L^2.  Flat n-balls: j_nu^2/r^2.  Hemispheres:
+    n + beta n(n-1).  3-D balls, caps and hyperbolic balls of curvature
+    kappa: pi^2/r^2 - kappa + 6 beta kappa (u = v/sn turns -Lap u = lambda u
+    into -v'' = (lambda + kappa) v).  Products and boxes: the sum over factors.
+    Anything else raises InvalidParameterError.
+    """
+    if man.is_product_like:
+        return sum(closed_form(f, beta) for f in man.factors)
+    if man.kind == Kind.INTERVAL:
+        a, b = man.params
+        return math.pi**2 / (b - a) ** 2
+    prof = man.profile
+    if prof is not None and prof.kappa is not None:
+        n, kappa, r = man.dim, prof.kappa, prof.r_max
+        if kappa == 0:
+            return first_zero(n / 2.0 - 1.0).j ** 2 / r**2
+        if kappa == 1 and r == math.pi / 2:
+            return n + beta * n * (n - 1)
+        if n == 3:
+            return math.pi**2 / r**2 - kappa + 6 * beta * kappa
+    raise InvalidParameterError(
+        f"no closed form for {man.describe()}; use the eigensolve method"
+    )

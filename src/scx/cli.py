@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 
-from . import bessel, comparison, variational
+from . import comparison, variational
+from .bessel import closed_form
 from .errors import (
     InvalidParameterError,
     NumericalFailureError,
@@ -225,23 +225,6 @@ def _fmt(x: float | None) -> str | None:
     return None if x is None else f"{x:.6g}"
 
 
-def _closed_form_sc(man: ModelManifold) -> float:
-    if man.kind == Kind.INTERVAL:
-        a, b = man.params
-        return 4 * math.pi**2 / (b - a) ** 2
-    if man.kind == Kind.SPACE_FORM_BALL and man.params[1] == 0.0:
-        n, _, r = man.params
-        return bessel.flat_ball_sc(n, r)
-    if man.kind == Kind.SPHERICAL_CAP and man.params[1] == math.pi / 2:
-        n = man.dim
-        return float(n * (n + 3))
-    if man.is_product_like:
-        return sum(_closed_form_sc(f) for f in man.factors)
-    raise InvalidParameterError(
-        f"no closed form for {man.describe()}; use the eigensolve method"
-    )
-
-
 def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
     man = ms.manifold
     report = {
@@ -274,12 +257,13 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             report["c_r_reference_window"] = [1.0 / 6.0, 1.0]
             report["within_reference_window"] = bool(1 / 6 <= c <= 1)
     elif method == "closed_form":
-        val = _closed_form_sc(man)
+        lam = closed_form(man)
+        sc = 4.0 * lam
         report.update({
-            "sc_stab": val,
-            "lambda1": val / 4.0,
+            "sc_stab": sc,
+            "lambda1": lam,
             "grid": None,
-            "sc_stab_display": _fmt(val),
+            "sc_stab_display": _fmt(sc),
         })
     elif method == "variational":
         rep = variational.maximize(man, trials=200, seed=seed, m=max(ms.grid // 4, 512))
@@ -299,10 +283,11 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
 def table_rows(grid: int = DEFAULT_GRID) -> list[dict]:
     rows = []
     for n in (2, 3, 4, 8):
-        ball_closed = bessel.flat_ball_sc(n, 1.0)
-        ball_solved = sc_stab(make_space_form_ball(n, 0.0, 1.0), grid).sc_stab
-        hemi_closed = float(n * (n + 3))
-        hemi_solved = sc_stab(make_spherical_cap(n, math.pi / 2), grid).sc_stab
+        ball, hemi = make_space_form_ball(n, 0.0, 1.0), make_spherical_cap(n, math.pi / 2)
+        ball_closed = 4.0 * closed_form(ball)
+        ball_solved = sc_stab(ball, grid).sc_stab
+        hemi_closed = 4.0 * closed_form(hemi)
+        hemi_solved = sc_stab(hemi, grid).sc_stab
         ref = REFERENCE_BALL[n]
         deviation = abs(ball_closed - ref)
         rows.append({

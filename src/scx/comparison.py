@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tridiag import tridiag_apply
 from .bessel import first_zero
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import (
     ModelManifold,
+    _second_difference,
     make_hyperbolic_ball,
     make_space_form_ball,
     radius_from_mean_curvature,
@@ -64,10 +66,8 @@ def _radial_ricci(profile, d: np.ndarray) -> np.ndarray:
     """-sn''/sn on the sample nodes (the radial sectional curvature)."""
     if profile.kappa is not None:
         return np.full_like(d, profile.kappa)
-    step = 1e-5 * profile.r_max
     sn = profile.warp(d)
-    snpp = (profile.warp(d + step) - 2 * sn + profile.warp(d - step)) / step**2
-    return -snpp / sn
+    return -_second_difference(profile.warp, d, sn, 1e-5 * profile.r_max) / sn
 
 
 def make_comparison_case(
@@ -191,15 +191,13 @@ def transplant_check(case: ComparisonCase, m: int = 1024) -> bool:
     if np.any(u <= 0):
         raise InvalidParameterError("transplanted eigenfunction not positive on X")
 
-    rows = op.pointwise_quotient(u)[op.grid.eval_slice]
-    tol = 2e-3 * abs(lam) + 1e-8
-    pointwise_ok = bool(np.all(rows >= lam - tol))
-
+    # symmetrized samples v = sqrt(mass) u: (T v)_i / v_i is the discrete
+    # (-Lap_X u)/u at node i, and v.Tv / v.v the Rayleigh quotient of u
     v = u * np.exp(0.5 * (op.log_mass - op.log_mass.max()))
-    from ._tridiag import tridiag_apply
-
-    rq = float(v @ tridiag_apply(op.diag, op.offdiag, v) / (v @ v))
-    rq_ok = rq >= lam - tol
+    tv = tridiag_apply(op.diag, op.offdiag, v)
+    tol = 2e-3 * abs(lam) + 1e-8
+    pointwise_ok = bool(np.all((tv / v)[op.grid.eval_slice] >= lam - tol))
+    rq_ok = float(v @ tv / (v @ v)) >= lam - tol
     return pointwise_ok and rq_ok
 
 

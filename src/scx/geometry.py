@@ -57,9 +57,6 @@ class RadialProfile:
     scalar_curv: Callable = field(compare=False)
     r_max: float = 1.0
 
-    def density(self, d):
-        return self.warp(d) ** (self.dim - 1)
-
     def log_density(self, d):
         return (self.dim - 1) * np.log(self.warp(d))
 
@@ -263,10 +260,9 @@ def make_radial_custom(
     if scalar_curv is None:
         def scalar_curv(d, _w=warp, _wp=warp_prime, _r=float(r_max)):
             d = np.asarray(d, float)
-            step = 1e-5 * _r
             sn = _w(d)
             snp = _wp(d)
-            snpp = (_w(d + step) - 2 * sn + _w(d - step)) / step**2
+            snpp = _second_difference(_w, d, sn, 1e-5 * _r)
             return (-2 * (n - 1) * snpp / sn
                     + (n - 1) * (n - 2) * (1 - snp**2) / sn**2)
     prof = RadialProfile(dim=n, kappa=None, warp=warp, warp_prime=warp_prime,
@@ -274,6 +270,11 @@ def make_radial_custom(
     prof.validate()
     token = next(_custom_counter)
     return ModelManifold(Kind.RADIAL_CUSTOM, n, (n, float(r_max), token), prof)
+
+
+def _second_difference(f: Callable, d, fd, step: float):
+    """Central (f(d + step) - 2 f(d) + f(d - step)) / step^2, given fd = f(d)."""
+    return (f(d + step) - 2 * fd + f(d - step)) / step**2
 
 
 def make_box(sides) -> ModelManifold:

@@ -14,9 +14,11 @@ Volume densities are handled in log space so that steep warps (sinh^(n-1) on
 large hyperbolic balls) never overflow: matrix entries only ever involve
 ratios of neighboring densities.
 
-The stabilized curvature of a compact manifold is 4 lambda_1 at beta = 1/4,
-summed over factors for products.  Results carry a two-grid convergence
-certificate and a Richardson extrapolation (4 lam(2m) - lam(m))/3.
+Products and boxes are solved only by lambda1_beta, which adds its factors'
+results (spectral additivity); sc_stab and eigen_product call it.  The
+stabilized curvature is 4 lambda_1 at beta = 1/4 (SpectralResult.sc_stab).
+Results carry a two-grid convergence certificate and a Richardson
+extrapolation (4 lam(2m) - lam(m))/3.
 
 Solves are cached by (manifold key, beta, m) in one LRU cache holding at most
 _CACHE_BYTES of eigenfunction samples; least recently used entries are
@@ -33,7 +35,6 @@ curvature fields are its only readers).
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -41,9 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._tridiag import smallest_eigenpair, tridiag_apply
+from ._tridiag import smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
-from .geometry import Kind, ModelManifold, RadialProfile
+from .geometry import Kind, ModelManifold, RadialProfile, product
 
 DEFAULT_GRID = 4000
 DEFAULT_TOL = 1e-3
@@ -55,11 +56,6 @@ _cache: OrderedDict = OrderedDict()
 _cache_nbytes = 0
 
 
-class BC(str, enum.Enum):
-    DIRICHLET_BOTH = "dirichlet_both"
-    DIRICHLET_OUTER_REGULAR_CENTER = "dirichlet_outer_regular_center"
-
-
 @dataclass(frozen=True)
 class Grid:
     """Interior sample nodes plus the coefficient data tied to them."""
@@ -67,7 +63,6 @@ class Grid:
     nodes: np.ndarray
     h: float
     sigma: np.ndarray   # scalar curvature samples
-    bc: BC
     profile: RadialProfile | None = None  # None on intervals
 
     @property
@@ -89,7 +84,7 @@ class Grid:
         eigenfunctions vanish, so pointwise curvature expressions are only
         evaluated on this sub-range.
         """
-        if self.bc == BC.DIRICHLET_BOTH:
+        if self.profile is None:  # intervals: Dirichlet at both ends
             return slice(1, self.size - 1)
         return slice(0, self.size - 2)
 
@@ -104,7 +99,6 @@ class DiscreteOperator:
     diag: np.ndarray
     offdiag: np.ndarray
     beta: float
-    bc: BC
     log_mass: np.ndarray  # log(A(d_i) h), the volume weight per node
 
     def unweight(self, v: np.ndarray) -> np.ndarray:
@@ -113,15 +107,6 @@ class DiscreteOperator:
         logs = np.log(np.abs(v) + 1e-300) + w
         u = np.sign(v) * np.exp(logs - logs.max())
         return u / np.max(np.abs(u))
-
-    def pointwise_quotient(self, u: np.ndarray) -> np.ndarray:
-        """((T u)_i / (M u)_i): the discrete (-Lap + beta sigma) u / u rows.
-
-        Assumes u extends by the operator's own boundary closures (Dirichlet
-        zero at outer/interval faces, zero flux at a regular center).
-        """
-        v = u * np.exp(0.5 * (self.log_mass - self.log_mass.max()))
-        return tridiag_apply(self.diag, self.offdiag, v) / v
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,11 @@ class SpectralResult:
     beta: float
     richardson_estimate: float | None = None
     certificate: float | None = None
-    sc_stab: float | None = None
+
+    @property
+    def sc_stab(self) -> float | None:
+        """The stabilized curvature 4 lambda_1 at beta = 1/4; None otherwise."""
+        return 4.0 * self.lambda1 if self.beta == 0.25 else None
 
 
 def operator_grid(man: ModelManifold, m: int) -> Grid:
@@ -147,7 +136,7 @@ def operator_grid(man: ModelManifold, m: int) -> Grid:
         a, b = man.params
         h = (b - a) / (m + 1)
         nodes = a + h * np.arange(1, m + 1)
-        return Grid(nodes=nodes, h=h, sigma=np.zeros(m), bc=BC.DIRICHLET_BOTH)
+        return Grid(nodes=nodes, h=h, sigma=np.zeros(m))
     if not man.is_radial:
         raise InvalidKindError(f"unsupported kind {man.kind}")
     prof = man.profile
@@ -155,8 +144,7 @@ def operator_grid(man: ModelManifold, m: int) -> Grid:
     nodes = (np.arange(m) + 0.5) * h
     return Grid(
         nodes=nodes, h=h,
-        sigma=np.asarray(prof.scalar_curv(nodes), dtype=float),
-        bc=BC.DIRICHLET_OUTER_REGULAR_CENTER, profile=prof,
+        sigma=np.asarray(prof.scalar_curv(nodes), dtype=float), profile=prof,
     )
 
 
@@ -195,8 +183,7 @@ def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
         diag = np.full(m, 2.0 / h**2) + beta * grid.sigma
         off = np.full(m - 1, -1.0 / h**2)
         log_mass = np.full(m, math.log(h))
-        return DiscreteOperator(grid, diag, off, float(beta),
-                                BC.DIRICHLET_BOTH, log_mass)
+        return DiscreteOperator(grid, diag, off, float(beta), log_mass)
     prof = man.profile
     faces = h * np.arange(1, m + 1)          # face m sits on the outer boundary
     lF = np.asarray(prof.log_density(faces), dtype=float)
@@ -207,18 +194,15 @@ def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
     diag[-1] += np.exp(lF[-1] - lM[-1]) / h  # Dirichlet face at h/2: flux 2A(R)/h
     diag += beta * grid.sigma
     off = -np.exp(lF[:-1] - 0.5 * (lM[:-1] + lM[1:])) / h
-    return DiscreteOperator(grid, diag, off, float(beta),
-                            BC.DIRICHLET_OUTER_REGULAR_CENTER, lM)
+    return DiscreteOperator(grid, diag, off, float(beta), lM)
 
 
 def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     """Smallest eigenvalue and its one-signed eigenvector."""
     lam, v = smallest_eigenpair(op.diag, op.offdiag)
     u = op.unweight(v)
-    return SpectralResult(
-        lambda1=lam, eigenfunction=u, grid_size=op.grid.size, beta=op.beta,
-        sc_stab=4.0 * lam if op.beta == 0.25 else None,
-    )
+    return SpectralResult(lambda1=lam, eigenfunction=u, grid_size=op.grid.size,
+                          beta=op.beta)
 
 
 def _nbytes(u: np.ndarray | None) -> int:
@@ -256,9 +240,12 @@ def lambda1_beta(
     m: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
 ) -> SpectralResult:
-    """First Dirichlet eigenvalue of -Lap + beta*sigma with a two-grid certificate."""
+    """First Dirichlet eigenvalue of -Lap + beta*sigma with a two-grid certificate.
+
+    Products and boxes are solved factor by factor and the results added.
+    """
     if man.is_product_like:
-        return eigen_product([lambda1_beta(f, beta, m, tol) for f in man.factors])
+        return _add_factors([lambda1_beta(f, beta, m, tol) for f in man.factors])
     lam_c, _ = _lambda1_cached(man, beta, m, vector=False)
     lam_f, u = _lambda1_cached(man, beta, 2 * m)
     cert = abs(lam_c - lam_f) / max(abs(lam_f), 1e-300)
@@ -271,7 +258,6 @@ def lambda1_beta(
     return SpectralResult(
         lambda1=lam_f, eigenfunction=u, grid_size=2 * m, beta=float(beta),
         richardson_estimate=richardson, certificate=cert,
-        sc_stab=4.0 * lam_f if beta == 0.25 else None,
     )
 
 
@@ -281,36 +267,21 @@ def sc_stab(
     tol: float = DEFAULT_TOL,
 ) -> SpectralResult:
     """Stabilized scalar curvature 4 lambda_1(-Lap + Sc/4); additive over products."""
-    if man.is_product_like:
-        return eigen_product([sc_stab(f, m, tol) for f in man.factors])
     return lambda1_beta(man, 0.25, m, tol)
 
 
-def eigen_product(items, m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Combine factor results by spectral additivity of Riemannian products."""
-    items = list(items)
-    if len(items) < 2:
-        raise InvalidParameterError(
-            f"product combination needs >= 2 factors, got {len(items)}"
-        )
-    results = [
-        it if isinstance(it, SpectralResult) else sc_stab(it, m, tol)
-        for it in items
-    ]
-    betas = {r.beta for r in results}
-    if len(betas) != 1:
-        raise InvalidParameterError(f"mixed beta values in product: {sorted(betas)}")
-    beta = betas.pop()
-    lam = sum(r.lambda1 for r in results)
-    rich = (sum(r.richardson_estimate for r in results)
-            if all(r.richardson_estimate is not None for r in results) else None)
-    cert = (max(r.certificate for r in results)
-            if all(r.certificate is not None for r in results) else None)
+def eigen_product(factors, m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """sc_stab of the Riemannian product of the manifolds ``factors``."""
+    return sc_stab(product(factors), m, tol)
+
+
+def _add_factors(results: list[SpectralResult]) -> SpectralResult:
+    """Spectral additivity: one result for a product from its factors' results."""
     return SpectralResult(
-        lambda1=lam, eigenfunction=None,
-        grid_size=max(r.grid_size for r in results), beta=beta,
-        richardson_estimate=rich, certificate=cert,
-        sc_stab=4.0 * lam if beta == 0.25 else None,
+        lambda1=sum(r.lambda1 for r in results), eigenfunction=None,
+        grid_size=max(r.grid_size for r in results), beta=results[0].beta,
+        richardson_estimate=sum(r.richardson_estimate for r in results),
+        certificate=max(r.certificate for r in results),
     )
 
 

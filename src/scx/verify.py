@@ -15,6 +15,7 @@ import numpy as np
 
 from . import bessel, clifford, comparison, variational, warped
 from ._oracle2d import rectangle_lambda1
+from .bessel import closed_form
 from .errors import InvalidParameterError, NumericalFailureError
 from .geometry import (
     make_box,
@@ -175,8 +176,9 @@ def monotonicity_suite(seed: int = 0, grid: int | None = None):
 def additivity_suite(seed: int = 0, grid: int | None = None):
     out = []
     m = grid or 800
-    box = sc_stab(make_box([1.0, 2.0, 3.0]), m).sc_stab
-    exact = 4 * math.pi**2 * (1 + 0.25 + 1.0 / 9.0)
+    box_man = make_box([1.0, 2.0, 3.0])
+    box = sc_stab(box_man, m).sc_stab
+    exact = 4 * closed_form(box_man)
     rel = abs(box - exact) / exact
     out.append(_check("additivity", "box 1x2x3 equals sum of interval values",
                       rel < 1e-3, 1e-3 - rel, f"rel dev {rel:.2e}"))
@@ -200,9 +202,10 @@ def additivity_suite(seed: int = 0, grid: int | None = None):
     out.append(_check("additivity", "translation invariance of intervals",
                       dev <= 1e-9 * unit, 1e-9 * unit - dev, f"deviation {dev:.2e}"))
 
-    ra = lambda1_beta(make_spherical_cap(2, math.pi / 2), 0.5, m)
-    rb = lambda1_beta(make_interval(0, 1), 0.5, m)
-    combined = eigen_product([ra, rb])
+    hemi, interval = make_spherical_cap(2, math.pi / 2), make_interval(0, 1)
+    ra = lambda1_beta(hemi, 0.5, m)
+    rb = lambda1_beta(interval, 0.5, m)
+    combined = lambda1_beta(product([hemi, interval]), 0.5, m)
     dev = abs(combined.lambda1 - (ra.lambda1 + rb.lambda1))
     out.append(_check("additivity", "spectrum additivity at beta=1/2",
                       dev == 0.0, -dev))
@@ -349,8 +352,9 @@ def hyperbolic_suite(seed: int = 0, grid: int | None = None):
     m = grid or 1500
     worst = -math.inf
     for r in (1.0, 2.0, 5.0):
-        lam = lambda1_beta(make_hyperbolic_ball(3, r), 0.0, m).lambda1
-        rel = abs(lam - (1 + math.pi**2 / r**2)) / (1 + math.pi**2 / r**2)
+        ball = make_hyperbolic_ball(3, r)
+        exact = closed_form(ball, beta=0)
+        rel = abs(lambda1_beta(ball, 0.0, m).lambda1 - exact) / exact
         worst = max(worst, rel)
     out.append(_check("hyperbolic", "n=3 closed form 1 + pi^2/r^2",
                       worst < 1e-5, 1e-5 - worst, f"worst rel dev {worst:.2e}"))

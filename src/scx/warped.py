@@ -107,10 +107,15 @@ class WarpingFamily:
         return len(self.phis)
 
 
-def make_warping_family(base: ModelManifold, phis, m: int = 1024) -> WarpingFamily:
+def _warp_grid(base: ModelManifold, m: int) -> Grid:
+    """operator_grid(base, m), refusing grids below MIN_WARP_GRID."""
     if m < MIN_WARP_GRID:
         raise InvalidParameterError(f"warped-metric grid must be >= {MIN_WARP_GRID}")
-    grid = operator_grid(base, m)
+    return operator_grid(base, m)
+
+
+def make_warping_family(base: ModelManifold, phis, m: int = 1024) -> WarpingFamily:
+    grid = _warp_grid(base, m)
     sampled = tuple(_sample(grid, phi) for phi in phis)
     if not sampled:
         raise InvalidParameterError("need at least one warping function")
@@ -159,9 +164,7 @@ def geometric_mean_reduce(w: WarpingFamily) -> WarpingFamily:
 
 def theta_form(base: ModelManifold, theta, m: int = 1024) -> np.ndarray:
     """sigma - 4 Lap(theta)/theta on the evaluation nodes (the N->infinity form)."""
-    if m < MIN_WARP_GRID:
-        raise InvalidParameterError(f"warped-metric grid must be >= {MIN_WARP_GRID}")
-    grid = operator_grid(base, m)
+    grid = _warp_grid(base, m)
     phi = _sample(grid, theta)
     vals = grid.sigma - 4.0 * laplacian_quotient(grid, phi)
     return vals[grid.eval_slice]
@@ -172,12 +175,10 @@ def psi_form(base: ModelManifold, Psi, N, m: int = 1024) -> np.ndarray:
 
     N = math.inf gives the limiting coefficient 1.
     """
-    if m < MIN_WARP_GRID:
-        raise InvalidParameterError(f"warped-metric grid must be >= {MIN_WARP_GRID}")
+    grid = _warp_grid(base, m)
     if N != math.inf and (not isinstance(N, int) or N < 1):
         raise InvalidParameterError(f"N must be a positive integer or inf, got {N}")
     coeff = 1.0 if N == math.inf else (N + 1.0) / N
-    grid = operator_grid(base, m)
     u = _sample(grid, Psi)
     du = _d1(u, grid.h)
     lap = _d2(u, grid.h) + grid.drift * du

@@ -3,8 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from scx.bessel import _scan_limit, bessel_j, first_zero, flat_ball_sc, qw_enclosure
+from scx.bessel import (
+    _scan_limit,
+    bessel_j,
+    closed_form,
+    first_zero,
+    flat_ball_sc,
+    qw_enclosure,
+)
 from scx.errors import InvalidParameterError
+from scx.geometry import (
+    make_box,
+    make_hyperbolic_ball,
+    make_interval,
+    make_radial_custom,
+    make_space_form_ball,
+    make_spherical_cap,
+    product,
+)
 
 
 def series_j(nu: float, x: float, terms: int = 160) -> float:
@@ -176,3 +192,44 @@ class TestFlatBallSc:
             flat_ball_sc(1, 1.0)
         with pytest.raises(InvalidParameterError):
             flat_ball_sc(3, 0.0)
+
+
+# (label, manifold, beta, expected lambda_1): each expected value written out
+# here, from the eigenvalue problem, not from scx.closed_form's own table
+_CLOSED_FORMS = (
+    [("interval", make_interval(-0.5, 2.0), 0.25, math.pi**2 / 2.5**2),
+     ("box", make_box([1.0, 2.0, 3.0]), 0.25, math.pi**2 * (1 + 1 / 4 + 1 / 9)),
+     ("product", product([make_interval(0, 1), make_spherical_cap(2, math.pi / 2)]),
+      0.25, math.pi**2 + 2.5),
+     ("3-ball kappa=+0.5", make_space_form_ball(3, 0.5, 2.0), 0.25,
+      math.pi**2 / 4 + 0.25),
+     ("3-ball kappa=-2", make_space_form_ball(3, -2.0, 7.0), 0.25,
+      math.pi**2 / 49 - 1.0),
+     ("3-cap angle 2.5", make_spherical_cap(3, 2.5), 0.25, math.pi**2 / 6.25 + 0.5),
+     ("hyperbolic 3-ball beta=0", make_hyperbolic_ball(3, 2.0), 0.0,
+      1 + math.pi**2 / 4)]
+    + [(f"flat {n}-ball", make_space_form_ball(n, 0.0, 1.5), 0.25,
+        series_zero(n / 2 - 1) ** 2 / 2.25) for n in range(2, 9)]
+)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("label,man,beta,expected", _CLOSED_FORMS,
+                             ids=[c[0] for c in _CLOSED_FORMS])
+    def test_table_matches_literal_formula(self, label, man, beta, expected):
+        assert closed_form(man, beta) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_hemisphere_sc_is_exactly_n_n_plus_3(self, n):
+        assert 4 * closed_form(make_spherical_cap(n, math.pi / 2)) == n * (n + 3)
+
+    @pytest.mark.parametrize("man", [
+        make_spherical_cap(2, 0.9),
+        make_hyperbolic_ball(4, 1.0),
+        make_space_form_ball(4, 1.0, 1.0),
+        make_radial_custom(3, lambda d: d, 1.0),
+        product([make_interval(0, 1), make_hyperbolic_ball(2, 1.0)]),
+    ], ids=["2-cap", "hyperbolic 4-ball", "curved 4-ball", "custom", "product"])
+    def test_no_closed_form_raises(self, man):
+        with pytest.raises(InvalidParameterError, match="no closed form"):
+            closed_form(man)

@@ -175,6 +175,11 @@ class TestComputeCommand:
         rep = json.loads(capsys.readouterr().out)[0]
         assert rep["sc_stab"] == 28.0
 
+    def test_closed_form_hyperbolic_three_ball(self, capsys):
+        assert main(["compute", "hypball:n=3,r=2", "--method", "closed_form"]) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["sc_stab"] == pytest.approx(math.pi**2 - 2, rel=1e-14)
+
     def test_closed_form_unavailable(self, capsys):
         code = main(["compute", "cap:n=2,angle=0.9", "--method", "closed_form"])
         assert code == 2

@@ -91,7 +91,7 @@ def violating_sc_stab(monkeypatch):
     def fake(man, m=None, tol=None):
         sc = 1.0 if next(calls) % 2 == 0 else 2.0
         return SpectralResult(lambda1=sc / 4, eigenfunction=None, grid_size=2 * m,
-                              beta=0.25, certificate=1e-6, sc_stab=sc)
+                              beta=0.25, certificate=1e-6)
 
     monkeypatch.setattr(comparison, "sc_stab", fake)
 

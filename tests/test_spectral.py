@@ -5,7 +5,7 @@ import pytest
 
 from scx import warped
 from scx._oracle2d import five_point_laplacian, rectangle_lambda1
-from scx.bessel import first_zero
+from scx.bessel import closed_form, first_zero
 from scx.errors import (
     InvalidKindError,
     InvalidParameterError,
@@ -337,15 +337,31 @@ class TestEigenProduct:
                       800).sc_stab
         assert got == pytest.approx(4 * math.pi**2 + 10.0, rel=1e-4)
 
-    def test_mixed_beta_rejected(self):
+    def test_spectral_results_rejected(self):
+        # eigen_product takes manifolds only; product() refuses solved results
         a = lambda1_beta(make_interval(0, 1), 0.25, 100)
         b = lambda1_beta(make_interval(0, 1), 0.5, 100)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="ModelManifold"):
             eigen_product([a, b])
 
     def test_needs_two_factors(self):
         with pytest.raises(InvalidParameterError):
             eigen_product([make_interval(0, 1)])
+
+
+class TestThreeDimensionalClosedForms:
+    @pytest.mark.parametrize("man", [
+        make_space_form_ball(3, 0.5, 2.0),
+        make_space_form_ball(3, -2.0, 7.0),
+        make_spherical_cap(3, 2.5),
+        make_hyperbolic_ball(3, 1.0),
+        make_hyperbolic_ball(3, 10.0),
+    ], ids=["kappa=+0.5", "kappa=-2", "cap 2.5", "hyperbolic r=1", "hyperbolic r=10"])
+    def test_richardson_matches_closed_form(self, man):
+        # pi^2/r^2 - kappa + 6 beta kappa is exact in dimension 3
+        res = sc_stab(man, 2000)
+        exact = 4 * closed_form(man)
+        assert abs(4 * res.richardson_estimate - exact) <= 1e-9 * abs(exact)
 
 
 class TestExhaustion:
