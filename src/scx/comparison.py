@@ -222,10 +222,6 @@ def hyperbolic_c(n: int, r: float, m: int = DEFAULT_GRID) -> float:
      1 + (4 max(pi^2, j_nu^2)/(n-1)^2 - 1)/r^2] (hyperbolic_c_window);
     at n = 3 both ends equal 1 + (pi^2 - 1)/r^2.
     """
-    if n < 2:
-        raise InvalidParameterError(f"dimension must be >= 2, got {n}")
-    if r <= 0:
-        raise InvalidParameterError(f"radius must be positive, got {r}")
     lam = lambda1_beta(make_hyperbolic_ball(n, r), 0.0, m).lambda1
     return hyperbolic_c_from_lambda(n, r, lam)
 

@@ -32,6 +32,9 @@ import numpy as np
 from .errors import InvalidParameterError
 
 MAX_RADIUS = 1e3
+# Smallest accepted radius or interval length; 1/r^2 and the 1/h^2 of the
+# operators stay far from overflow.
+MIN_SIZE = 1e-50
 
 _custom_counter = itertools.count()
 
@@ -71,9 +74,9 @@ class RadialProfile:
     def validate(self) -> None:
         if self.dim < 1:
             raise InvalidParameterError(f"dimension must be >= 1, got {self.dim}")
-        if not 0 < self.r_max <= MAX_RADIUS:
+        if not MIN_SIZE <= self.r_max <= MAX_RADIUS:
             raise InvalidParameterError(
-                f"r_max must lie in (0, {MAX_RADIUS:g}], got {self.r_max}"
+                f"r_max must lie in [{MIN_SIZE:g}, {MAX_RADIUS:g}], got {self.r_max}"
             )
         eps = 1e-7 * self.r_max
         w0 = float(self.warp(eps))
@@ -130,6 +133,7 @@ class ModelManifold:
         if self.kind == Kind.HYPERBOLIC_BALL:
             return make_hyperbolic_ball(self.dim, r)
         prof = replace(self.profile, r_max=float(r))
+        prof.validate()
         return ModelManifold(Kind.RADIAL_CUSTOM, self.dim,
                              (self.dim, float(r)) + self.params[2:], prof)
 
@@ -192,6 +196,8 @@ def make_interval(a: float, b: float) -> ModelManifold:
         raise InvalidParameterError(f"interval endpoints need a < b, got [{a}, {b}]")
     if b - a > MAX_RADIUS:
         raise InvalidParameterError(f"interval length {b - a:g} exceeds {MAX_RADIUS:g}")
+    if b - a < MIN_SIZE:
+        raise InvalidParameterError(f"interval length {b - a:g} is below {MIN_SIZE:g}")
     return ModelManifold(Kind.INTERVAL, 1, (a, b))
 
 

@@ -20,13 +20,9 @@ stabilized curvature is 4 lambda_1 at beta = 1/4 (SpectralResult.sc_stab).
 Results carry a two-grid convergence certificate and a Richardson
 extrapolation (4 lam(2m) - lam(m))/3.
 
-Solves are cached by (manifold key, beta, m) in one LRU cache holding at most
-_CACHE_BYTES of eigenfunction samples; least recently used entries are
-evicted first, and cached eigenfunctions are read-only arrays.  The coarse
-grid of a two-grid solve contributes only its eigenvalue, so its entry holds
-no eigenfunction; a later request for that grid's eigenfunction solves it
-once more (deterministically, so to the same eigenvalue) and replaces the
-entry.
+lambda1_beta solves for eigenvalues only; its eigenvalues are cached by
+(manifold key, beta, m) in one LRU cache of at most _CACHE_ENTRIES entries.
+An eigenfunction comes from first_eigenpair(discretize(man, beta, m)).
 
 Only what a result reads is computed: discretize never evaluates the drift
 A'/A, which Grid.drift computes from the profile on first read (the warped
@@ -50,10 +46,9 @@ DEFAULT_GRID = 4000
 DEFAULT_TOL = 1e-3
 MIN_GRID = 16
 
-# Least recently used first; _cache_nbytes counts the eigenfunction samples.
-_CACHE_BYTES = 4 << 20
+# lambda_1 by (manifold key, beta, m), least recently used first
+_CACHE_ENTRIES = 4096
 _cache: OrderedDict = OrderedDict()
-_cache_nbytes = 0
 
 
 @dataclass(frozen=True)
@@ -87,10 +82,6 @@ class Grid:
         if self.profile is None:  # intervals: Dirichlet at both ends
             return slice(1, self.size - 1)
         return slice(0, self.size - 2)
-
-    @property
-    def eval_nodes(self) -> np.ndarray:
-        return self.nodes[self.eval_slice]
 
 
 @dataclass(frozen=True)
@@ -205,33 +196,18 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
                           beta=op.beta)
 
 
-def _nbytes(u: np.ndarray | None) -> int:
-    return 0 if u is None else u.nbytes
-
-
-def _lambda1_cached(man: ModelManifold, beta: float, m: int, vector: bool = True):
-    """(lambda_1, eigenfunction) at grid m; the eigenfunction is None unless
-    ``vector`` asked for it, and is then read-only."""
-    global _cache_nbytes
+def _lambda1_cached(man: ModelManifold, beta: float, m: int) -> float:
+    """lambda_1 at grid m, memoized."""
     key = (man.key(), beta, m)
-    hit = _cache.get(key)
-    if hit is not None and (hit[1] is not None or not vector):
+    lam = _cache.get(key)
+    if lam is not None:
         _cache.move_to_end(key)
-        return hit
+        return lam
     op = discretize(man, beta, m)
-    if vector:
-        res = first_eigenpair(op)
-        lam, u = res.lambda1, res.eigenfunction
-        u.flags.writeable = False
-    else:
-        lam, u = smallest_eigenpair(op.diag, op.offdiag)[0], None
-    _cache.pop(key, None)  # an eigenvalue-only entry holds no bytes
-    hit = _cache[key] = (lam, u)
-    _cache_nbytes += _nbytes(u)
-    while _cache_nbytes > _CACHE_BYTES:
-        _, (_, old) = _cache.popitem(last=False)
-        _cache_nbytes -= _nbytes(old)
-    return hit
+    lam = _cache[key] = smallest_eigenpair(op.diag, op.offdiag)[0]
+    if len(_cache) > _CACHE_ENTRIES:
+        _cache.popitem(last=False)
+    return lam
 
 
 def lambda1_beta(
@@ -246,8 +222,8 @@ def lambda1_beta(
     """
     if man.is_product_like:
         return _add_factors([lambda1_beta(f, beta, m, tol) for f in man.factors])
-    lam_c, _ = _lambda1_cached(man, beta, m, vector=False)
-    lam_f, u = _lambda1_cached(man, beta, 2 * m)
+    lam_c = _lambda1_cached(man, beta, m)
+    lam_f = _lambda1_cached(man, beta, 2 * m)
     cert = abs(lam_c - lam_f) / max(abs(lam_f), 1e-300)
     if cert >= 10 * tol:
         raise NumericalFailureError(
@@ -256,7 +232,7 @@ def lambda1_beta(
         )
     richardson = (4.0 * lam_f - lam_c) / 3.0
     return SpectralResult(
-        lambda1=lam_f, eigenfunction=u, grid_size=2 * m, beta=float(beta),
+        lambda1=lam_f, eigenfunction=None, grid_size=2 * m, beta=float(beta),
         richardson_estimate=richardson, certificate=cert,
     )
 

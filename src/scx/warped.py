@@ -64,6 +64,12 @@ def _d2(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _radial_lap(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D1 f, D2 f + drift * D1 f): the derivative and the radial Laplacian."""
+    df = _d1(f, grid.h)
+    return df, _d2(f, grid.h) + grid.drift * df
+
+
 def _sample(grid: Grid, f) -> np.ndarray:
     if callable(f):
         f = f(grid.nodes)
@@ -87,8 +93,7 @@ def _require_positive(grid: Grid, phi: np.ndarray, what: str) -> None:
 def laplacian_quotient(grid: Grid, phi: np.ndarray) -> np.ndarray:
     """Lap(phi)/phi on all interior nodes by straight quotients."""
     _require_positive(grid, phi, "quotient argument")
-    dphi = _d1(phi, grid.h)
-    return (_d2(phi, grid.h) + grid.drift * dphi) / phi
+    return _radial_lap(grid, phi)[1] / phi
 
 
 @dataclass(frozen=True)
@@ -122,12 +127,11 @@ def make_warping_family(base: ModelManifold, phis, m: int = 1024) -> WarpingFami
     logs, grads, laps = [], [], []
     for k, phi in enumerate(sampled):
         _require_positive(grid, phi, f"warping function {k}")
-        dphi = _d1(phi, grid.h)
+        dphi, lap = _radial_lap(grid, phi)
         g = dphi / phi
-        q = (_d2(phi, grid.h) + grid.drift * dphi) / phi
         logs.append(np.log(phi))
         grads.append(g)
-        laps.append(q - g * g)
+        laps.append(lap / phi - g * g)
     return WarpingFamily(base=base, grid=grid, phis=sampled,
                          logs=tuple(logs), grads=tuple(grads), laps=tuple(laps))
 
@@ -180,7 +184,6 @@ def psi_form(base: ModelManifold, Psi, N, m: int = 1024) -> np.ndarray:
         raise InvalidParameterError(f"N must be a positive integer or inf, got {N}")
     coeff = 1.0 if N == math.inf else (N + 1.0) / N
     u = _sample(grid, Psi)
-    du = _d1(u, grid.h)
-    lap = _d2(u, grid.h) + grid.drift * du
+    du, lap = _radial_lap(grid, u)
     vals = grid.sigma - 2.0 * lap - coeff * du * du
     return vals[grid.eval_slice]

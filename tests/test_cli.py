@@ -245,6 +245,34 @@ class TestComputeCommand:
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: operator has non-finite")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ["interval:0,1e-200"],
+        ["interval:0,1e-200", "--method", "closed_form"],
+        ["ball:n=2,r=1e-200", "--method", "closed_form"],
+        ["hypball:n=3,r=1e-200", "--method", "closed_form"],
+        ["box:1e-200,1", "--method", "closed_form"],
+        ["interval:0,1e-100"],
+        ["ball:n=3,r=1e-100"],
+    ])
+    def test_size_below_floor_exit_code(self, args, capsys):
+        assert main(["compute", *args]) == 2
+        captured = capsys.readouterr()
+        lines = [ln for ln in captured.err.splitlines() if ln.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [
+        "interval:0,1e-50", "ball:n=3,r=1e-50", "hypball:n=3,r=1e-50",
+        "ball:n=5,r=1e-50,kappa=-2", "cap:n=4,angle=1e-50",
+        "product:(box:1e-50,1)x(ball:n=2,r=1e-50)",
+    ])
+    def test_size_floor_computes(self, spec, capsys):
+        assert main(["compute", spec, "--grid", "16"]) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert math.isfinite(rep["sc_stab"]) and rep["sc_stab"] > 0
+
     def test_env_grid_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SCX_GRID", "400")
         main(["compute", "interval:0,1"])

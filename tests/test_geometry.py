@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scx.errors import InvalidParameterError
 from scx.geometry import (
+    MIN_SIZE,
     Kind,
     make_box,
     make_hyperbolic_ball,
@@ -35,6 +36,26 @@ class TestInterval:
     def test_bad_endpoints(self, a, b):
         with pytest.raises(InvalidParameterError):
             make_interval(a, b)
+
+
+class TestSizeFloor:
+    @pytest.mark.parametrize("make", [
+        lambda s: make_interval(0, s),
+        lambda s: make_box([s, 1.0]),
+        lambda s: make_space_form_ball(2, 0, s),
+        lambda s: make_space_form_ball(5, -2, s),
+        lambda s: make_spherical_cap(4, s),
+        lambda s: make_hyperbolic_ball(3, s),
+        lambda s: make_radial_custom(3, np.sin, s, warp_prime=np.cos),
+        lambda s: make_hyperbolic_ball(3, 1.0).with_radius(s),
+        lambda s: make_radial_custom(3, np.sin, 1.0).with_radius(s),
+    ], ids=["interval", "box", "flat-ball", "curved-ball", "cap", "hypball",
+            "custom", "sub-ball", "custom-sub-ball"])
+    def test_below_floor_rejected_floor_accepted(self, make):
+        for tiny in (1e-200, 1e-100, MIN_SIZE / 2):
+            with pytest.raises(InvalidParameterError):
+                make(tiny)
+        make(MIN_SIZE)
 
 
 class TestSpaceFormBall:

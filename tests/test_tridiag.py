@@ -1,4 +1,4 @@
-"""The inverse-iteration tridiagonal eigensolve and the bounded solve cache."""
+"""The inverse-iteration tridiagonal eigensolve and the eigenvalue cache."""
 
 import math
 from collections import OrderedDict
@@ -14,7 +14,9 @@ from scx.errors import NumericalFailureError
 from scx.geometry import (
     make_hyperbolic_ball,
     make_interval,
+    make_radial_custom,
     make_space_form_ball,
+    make_spherical_cap,
     product,
 )
 
@@ -224,53 +226,63 @@ class TestSmallestEigenpair:
 def fresh_cache(monkeypatch):
     """An empty solve cache, restored after the test."""
     monkeypatch.setattr(spectral, "_cache", OrderedDict())
-    monkeypatch.setattr(spectral, "_cache_nbytes", 0)
 
 
-def _held():
-    return sum(u.nbytes for _, u in spectral._cache.values() if u is not None)
+@pytest.fixture
+def discretized(monkeypatch):
+    """Grid sizes passed to spectral.discretize, in call order."""
+    calls = []
+    inner = spectral.discretize
+
+    def counting(man, beta, m):
+        calls.append(m)
+        return inner(man, beta, m)
+
+    monkeypatch.setattr(spectral, "discretize", counting)
+    return calls
+
+
+def _bumpy_warp(d):
+    return np.sin(d) * (1.0 + 0.1 * np.sin(d) ** 2)
 
 
 class TestSolveCache:
-    def test_bytes_held_never_exceed_budget(self, fresh_cache):
-        budget = spectral._CACHE_BYTES
-        # one (m, 2m) solve pair holds 8 * 2m = 256 KB: the coarse grid
-        # keeps its eigenvalue only
-        m = 16000
-        specs = [make_interval(0.0, 1.0 + 0.125 * k) for k in range(20)]
-        assert 16 * m * len(specs) > budget
+    def test_entries_never_exceed_bound(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(spectral, "_CACHE_ENTRIES", 5)
+        specs = [make_interval(0.0, 1.0 + 0.125 * k) for k in range(6)]
         for man in specs:
-            spectral.lambda1_beta(man, 0.25, m)
-            assert _held() == spectral._cache_nbytes <= budget
-        assert len(spectral._cache) < 2 * len(specs)
-        assert (specs[-1].key(), 0.25, 2 * m) in spectral._cache
+            spectral.lambda1_beta(man, 0.25, 32)
+            assert len(spectral._cache) <= 5
+        assert len(spectral._cache) == 5
+        last = specs[-1].key()
+        assert list(spectral._cache)[-2:] == [(last, 0.25, 32), (last, 0.25, 64)]
+        assert all(isinstance(lam, float) for lam in spectral._cache.values())
 
     def test_least_recently_used_evicted_first(self, fresh_cache, monkeypatch):
-        m = 64
-        monkeypatch.setattr(spectral, "_CACHE_BYTES", 3 * 8 * m)  # three solves
+        monkeypatch.setattr(spectral, "_CACHE_ENTRIES", 3)
         a, b, c, d = (make_interval(0.0, 1.0 + k) for k in range(4))
         for man in (a, b, c, a, d):  # a is used again before d pushes one out
-            spectral._lambda1_cached(man, 0.25, m)
+            spectral._lambda1_cached(man, 0.25, 64)
         held = [key[0] for key in spectral._cache]
         assert held == [c.key(), a.key(), d.key()]
 
-    def test_repeated_key_skips_discretize(self, fresh_cache, monkeypatch):
-        calls = []
-        inner = spectral.discretize
-
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(spectral, "discretize", counting)
+    def test_repeated_key_skips_discretize(self, fresh_cache, discretized):
         man = make_space_form_ball(3, 0.0, 1.25)
         first = spectral.lambda1_beta(man, 0.25, 64)
-        assert len(calls) == 2
+        assert discretized == [64, 128]
         again = spectral.lambda1_beta(man, 0.25, 64)
-        assert len(calls) == 2
+        assert discretized == [64, 128]
         assert again.lambda1 == first.lambda1
 
-    def test_coarse_grid_never_unweighted(self, fresh_cache, monkeypatch):
+    def test_coarse_entry_serves_later_fine_grid(self, fresh_cache, discretized):
+        man = make_hyperbolic_ball(4, 1.5)
+        coarse = spectral.lambda1_beta(man, 0.25, 64)  # grids 64, 128
+        finer = spectral.lambda1_beta(man, 0.25, 32)   # grid 32; 64 is cached
+        assert discretized == [64, 128, 32]
+        assert finer.lambda1 == spectral._cache[(man.key(), 0.25, 64)]
+        assert coarse.richardson_estimate == (4.0 * coarse.lambda1 - finer.lambda1) / 3.0
+
+    def test_lambda1_beta_never_unweights(self, fresh_cache, monkeypatch):
         calls = []
         inner = spectral.DiscreteOperator.unweight
 
@@ -280,37 +292,24 @@ class TestSolveCache:
 
         monkeypatch.setattr(spectral.DiscreteOperator, "unweight", spy)
         ball = make_space_form_ball(3, 0.0, 1.25)
-        spectral.lambda1_beta(product([make_interval(0.0, 2.0), ball]), 0.25, 64)
-        assert calls == [128, 128]  # one per leaf, on its fine grid
-        assert spectral._cache[(ball.key(), 0.25, 64)][1] is None
-        assert _held() == spectral._cache_nbytes == 2 * 8 * 128
-        assert spectral.lambda1_beta(ball, 0.25, 64).eigenfunction.size == 128
-        assert calls == [128, 128]
+        prod = spectral.lambda1_beta(product([make_interval(0.0, 2.0), ball]), 0.25, 64)
+        leaf = spectral.lambda1_beta(make_hyperbolic_ball(3, 2.0), 0.25, 64)
+        assert prod.eigenfunction is None and leaf.eigenfunction is None
+        assert calls == []
+        pair = spectral.first_eigenpair(spectral.discretize(ball, 0.25, 128))
+        assert pair.eigenfunction.size == 128
+        assert calls == [128]
 
-    def test_coarse_key_solved_again_for_its_vector(self, fresh_cache, monkeypatch):
-        calls = []
-        inner = spectral.discretize
-
-        def counting(*args):
-            calls.append(args[2])
-            return inner(*args)
-
-        monkeypatch.setattr(spectral, "discretize", counting)
-        man = make_hyperbolic_ball(4, 1.5)
-        key = (man.key(), 0.25, 64)
-        spectral.lambda1_beta(man, 0.25, 64)              # grids 64, 128
-        lam_only, u_none = spectral._cache[key]
-        assert u_none is None
-        finer = spectral.lambda1_beta(man, 0.25, 32)      # grid 64 again, with u
-        assert calls == [64, 128, 32, 64]
-        lam, u = spectral._cache[key]
-        assert lam == lam_only and finer.lambda1 == lam
-        assert u is not None and finer.eigenfunction is u
-        spectral.lambda1_beta(man, 0.25, 32)
-        spectral.lambda1_beta(man, 0.25, 64)
-        assert calls == [64, 128, 32, 64]  # both entries now serve every request
-
-    def test_cached_eigenfunction_read_only(self, fresh_cache):
-        res = spectral.lambda1_beta(make_interval(0.0, 1.5), 0.25, 64)
-        with pytest.raises(ValueError):
-            res.eigenfunction[0] = 1.0
+    @pytest.mark.parametrize("man", [
+        make_interval(0.0, 1.5),
+        make_space_form_ball(2, 0.0, 1.0),
+        make_space_form_ball(3, -2.0, 0.8),
+        make_hyperbolic_ball(4, 3.0),
+        make_spherical_cap(3, 1.2),
+        make_radial_custom(3, _bumpy_warp, 1.0),
+    ], ids=["interval", "flat-ball", "curved-ball", "hypball", "cap", "custom"])
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_lambda1_matches_first_eigenpair(self, fresh_cache, man, beta):
+        m = 96
+        got = spectral.lambda1_beta(man, beta, m).lambda1
+        assert got == spectral.first_eigenpair(spectral.discretize(man, beta, 2 * m)).lambda1
