@@ -1,0 +1,11 @@
+"""Constants shared by the library and the command-line parser.
+
+This module imports nothing, so the CLI builds its parser without loading
+the LAPACK layer or the verification suites.
+"""
+
+DEFAULT_GRID = 4000
+DEFAULT_TOL = 1e-3
+
+SUITES = ("monotonicity", "additivity", "majorization", "warped",
+          "comparison", "hyperbolic", "bessel", "clifford", "all")

@@ -12,6 +12,17 @@ Spec grammar (whitespace-insensitive):
 
 Exit codes: 0 success, 2 parse/parameter error, 3 numerical failure,
 4 verification failure.
+
+Each command imports the modules it needs inside its own branch, so a
+closed form of an interval, box, hemisphere or 3-D ball loads no scipy
+module, a flat-ball closed form loads only ``scipy.special`` and an
+eigensolve only ``scipy.linalg`` (plus ``scipy.special`` for a hyperbolic
+ball's c(r) window).
+
+``compute`` (eigensolve) treats ``--grid`` as the start of a ladder: while
+the grid-doubling certificate fails, the grid is doubled, up to
+MAX_GRID_FACTOR times the start.  The reported ``grid`` is the fine grid of
+the pair that passed.
 """
 
 from __future__ import annotations
@@ -24,8 +35,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import comparison, variational
-from .bessel import closed_form
+from ._constants import DEFAULT_GRID, DEFAULT_TOL, SUITES
 from .errors import (
     InvalidParameterError,
     NumericalFailureError,
@@ -41,13 +51,14 @@ from .geometry import (
     make_spherical_cap,
     product,
 )
-from .spectral import DEFAULT_GRID, DEFAULT_TOL, lambda1_beta, sc_stab
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
+
+# the eigensolve ladder of `compute` stops at this multiple of --grid
+MAX_GRID_FACTOR = 16
 
 # Published table values for the flat-ball vs hemisphere comparison; the
 # n=2 and n=4 ball entries disagree with 4 j_nu^2 (suspected truncation of
@@ -239,7 +250,7 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             f"method {method!r} computes sc at beta = 0.25 only, got beta = {ms.beta:g}"
         )
     if method == "eigensolve":
-        res = lambda1_beta(man, ms.beta, ms.grid, ms.tol)
+        res = _ladder_solve(ms)
         report.update({
             "grid": res.grid_size,
             "lambda1": res.lambda1,
@@ -249,6 +260,8 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             "sc_stab_display": _fmt(res.sc_stab),
         })
         if man.kind == Kind.HYPERBOLIC_BALL:
+            from . import comparison
+
             n, r = man.params
             lam0 = res.lambda1 + res.beta * n * (n - 1)  # beta * sigma = -beta n(n-1)
             c = comparison.hyperbolic_c_from_lambda(n, r, lam0)
@@ -257,6 +270,8 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             report["c_r_reference_window"] = [1.0 / 6.0, 1.0]
             report["within_reference_window"] = bool(1 / 6 <= c <= 1)
     elif method == "closed_form":
+        from .closed_forms import closed_form
+
         lam = closed_form(man)
         sc = 4.0 * lam
         report.update({
@@ -266,6 +281,8 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             "sc_stab_display": _fmt(sc),
         })
     elif method == "variational":
+        from . import variational
+
         rep = variational.maximize(man, trials=200, seed=seed, m=max(ms.grid // 4, 512))
         report.update({
             "sc_stab": rep.best_value,
@@ -280,7 +297,25 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
     return report
 
 
+def _ladder_solve(ms: ManifoldSpec):
+    """lambda1_beta from m = ms.grid, doubling m while the grid-doubling
+    certificate fails, up to MAX_GRID_FACTOR * ms.grid."""
+    from .spectral import CERTIFICATE_FAILED, lambda1_beta
+
+    m = ms.grid
+    while True:
+        try:
+            return lambda1_beta(ms.manifold, ms.beta, m, ms.tol)
+        except NumericalFailureError as exc:
+            if str(exc) != CERTIFICATE_FAILED or 2 * m > MAX_GRID_FACTOR * ms.grid:
+                raise
+        m *= 2
+
+
 def table_rows(grid: int = DEFAULT_GRID) -> list[dict]:
+    from .closed_forms import closed_form
+    from .spectral import sc_stab
+
     rows = []
     for n in (2, 3, 4, 8):
         ball, hemi = make_space_form_ball(n, 0.0, 1.0), make_spherical_cap(n, math.pi / 2)
@@ -394,6 +429,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite, seed=args.seed, grid=args.grid)
     if args.json:
         payload = [

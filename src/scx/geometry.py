@@ -60,16 +60,32 @@ class RadialProfile:
     scalar_curv: Callable = field(compare=False)
     r_max: float = 1.0
 
+    @property
+    def _sinh_rate(self) -> float | None:
+        """sqrt(-kappa) on space forms of negative curvature, whose warp
+        sinh(sqrt(-kappa) d) overflows above sqrt(-kappa) d ~ 710; else None."""
+        if self.kappa is not None and self.kappa < 0:
+            return math.sqrt(-self.kappa)
+        return None
+
     def log_density(self, d):
-        return (self.dim - 1) * np.log(self.warp(d))
+        rk = self._sinh_rate
+        if rk is None:
+            return (self.dim - 1) * np.log(self.warp(d))
+        # log(sinh(x)/rk) = x + log(1 - e^(-2x)) - log(2 rk), finite for x > 0
+        x = rk * np.asarray(d, float)
+        return (self.dim - 1) * (x + np.log(-np.expm1(-2 * x)) - math.log(2 * rk))
 
     def drift(self, d):
         """A'(d)/A(d), the first-order coefficient of the radial Laplacian."""
-        return (self.dim - 1) * self.warp_prime(d) / self.warp(d)
+        rk = self._sinh_rate
+        if rk is None:
+            return (self.dim - 1) * self.warp_prime(d) / self.warp(d)
+        return (self.dim - 1) * rk / np.tanh(rk * np.asarray(d, float))  # coth
 
     def mean_curvature(self, r: float) -> float:
         """Sum of principal curvatures of the geodesic sphere of radius r."""
-        return float((self.dim - 1) * self.warp_prime(r) / self.warp(r))
+        return float(self.drift(r))
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -85,6 +101,8 @@ class RadialProfile:
                 "ball-type profile requires sn(0)=0 and sn'(0)=1; "
                 f"got sn({eps:g})={w0:g}"
             )
+        if self._sinh_rate is not None:
+            return  # sinh is positive on (0, r_max]; sampling it could overflow
         d = np.linspace(self.r_max / 64, self.r_max * (1 - 1e-9), 64)
         w = np.asarray(self.warp(d), dtype=float)
         if not np.all(w > 0):

@@ -38,13 +38,14 @@ from functools import cached_property
 
 import numpy as np
 
+from ._constants import DEFAULT_GRID, DEFAULT_TOL
 from ._tridiag import smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import Kind, ModelManifold, RadialProfile, product
 
-DEFAULT_GRID = 4000
-DEFAULT_TOL = 1e-3
 MIN_GRID = 16
+# message of the NumericalFailureError raised when the two grids disagree
+CERTIFICATE_FAILED = "grid-doubling certificate failed"
 
 # lambda_1 by (manifold key, beta, m), least recently used first
 _CACHE_ENTRIES = 4096
@@ -227,8 +228,8 @@ def lambda1_beta(
     cert = abs(lam_c - lam_f) / max(abs(lam_f), 1e-300)
     if cert >= 10 * tol:
         raise NumericalFailureError(
-            "grid-doubling certificate failed",
-            coarse=lam_c, fine=lam_f, certificate=cert, tol=tol,
+            CERTIFICATE_FAILED,
+            m=m, coarse=lam_c, fine=lam_f, certificate=cert, tol=tol,
         )
     richardson = (4.0 * lam_f - lam_c) / 3.0
     return SpectralResult(

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel, clifford, comparison, variational, warped
+from ._constants import SUITES
 from ._oracle2d import rectangle_lambda1
-from .bessel import closed_form
+from .closed_forms import closed_form
 from .errors import InvalidParameterError, NumericalFailureError
 from .geometry import (
     make_box,
@@ -36,10 +37,6 @@ from .spectral import (
     operator_grid,
     sc_stab,
 )
-
-SUITES = ("monotonicity", "additivity", "majorization", "warped",
-          "comparison", "hyperbolic", "bessel", "clifford", "all")
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -6,11 +6,11 @@ import pytest
 from scx.bessel import (
     _scan_limit,
     bessel_j,
-    closed_form,
     first_zero,
     flat_ball_sc,
     qw_enclosure,
 )
+from scx.closed_forms import closed_form
 from scx.errors import InvalidParameterError
 from scx.geometry import (
     make_box,

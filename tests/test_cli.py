@@ -10,10 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scx import comparison, verify
-from scx.cli import main, parse_spec, render, table_rows
-from scx.errors import NumericalFailureError, SpecSyntaxError
+from scx.cli import MAX_GRID_FACTOR, main, parse_spec, render, table_rows
+from scx.errors import InvalidParameterError, NumericalFailureError, SpecSyntaxError
 from scx.geometry import (
+    MAX_RADIUS,
+    MIN_SIZE,
     make_box,
+    make_hemisphere,
     make_hyperbolic_ball,
     make_interval,
     make_space_form_ball,
@@ -122,9 +125,49 @@ def manifold_strategy():
     )
 
 
+def _accepted(make, *args):
+    """make(*args), or None where the constructor refuses the parameters."""
+    try:
+        return make(*args)
+    except InvalidParameterError:
+        return None
+
+
+def domain_strategy():
+    """Every kind over its whole accepted domain, sizes at both ends included."""
+    sizes = st.one_of(st.sampled_from([MIN_SIZE, MAX_RADIUS]),
+                      st.floats(min_value=MIN_SIZE, max_value=MAX_RADIUS))
+    dims = st.integers(min_value=2, max_value=64)
+    fractions = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
+    intervals = st.builds(lambda a, length: _accepted(make_interval, a, a + length),
+                          st.floats(min_value=-1e3, max_value=1e3), sizes)
+    boxes = st.lists(sizes, min_size=1, max_size=4).map(lambda s: _accepted(make_box, s))
+    flat = st.builds(lambda n, r: _accepted(make_space_form_ball, n, 0.0, r), dims, sizes)
+    negative = st.builds(lambda n, k, r: _accepted(make_space_form_ball, n, -k, r),
+                         dims, st.floats(min_value=1e-6, max_value=4.0), sizes)
+    positive = st.builds(
+        lambda n, k, f: _accepted(make_space_form_ball, n, k, f * math.pi / math.sqrt(k)),
+        dims, st.floats(min_value=1e-6, max_value=1e4), fractions)
+    caps = st.builds(lambda n, f: _accepted(make_spherical_cap, n, f * math.pi),
+                     dims, fractions)
+    hemispheres = dims.map(make_hemisphere)
+    hyp = st.builds(lambda n, r: _accepted(make_hyperbolic_ball, n, r), dims, sizes)
+    leaves = st.one_of(intervals, boxes, flat, negative, positive, caps, hemispheres,
+                       hyp).filter(lambda m: m is not None)
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, min_size=2, max_size=3).map(product),
+        max_leaves=5,
+    )
+
+
 class TestRender:
     @given(manifold_strategy())
     def test_round_trip(self, man):
+        assert parse_spec(render(man)).manifold == man
+
+    @given(domain_strategy())
+    def test_round_trip_whole_domain(self, man):
         assert parse_spec(render(man)).manifold == man
 
     def test_hemisphere_round_trip(self):
@@ -238,12 +281,26 @@ class TestComputeCommand:
         assert main(["compute", "interval:0,1", "--grid", "64",
                      "--tol", "1e-12"]) == 3
 
-    def test_non_finite_operator_exit_code(self, capsys):
-        # sinh overflows at r = 800; the solver refuses the operator cleanly
-        assert main(["compute", "hypball:n=3,r=800"]) == 3
-        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", ["800", "1000"])
+    def test_large_hyperbolic_balls_compute(self, n, r, capsys):
+        # sinh overflows above r ~ 710; the exact log warp and the grid
+        # ladder leave every accepted radius computable at the default grid
+        assert main(["compute", f"hypball:n={n},r={r}"]) == 0
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)[0]
+        assert captured.err == ""
+        assert math.isfinite(rep["sc_stab"]) and math.isfinite(rep["c_r"])
+
+    def test_certificate_failure_prints_one_line(self, capsys):
+        assert main(["compute", "interval:0,1", "--tol", "1e-12"]) == 3
+        captured = capsys.readouterr()
+        lines = [ln for ln in captured.err.splitlines() if ln.strip()]
         assert len(lines) == 1
-        assert lines[0].startswith("numerical failure: operator has non-finite")
+        assert lines[0].startswith("numerical failure: grid-doubling certificate failed")
+        assert "'m': 64000" in lines[0]  # the top of the ladder, 16 x 4000
+        assert captured.out == ""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args", [
@@ -317,6 +374,62 @@ class TestComputeCommand:
         assert main(["compute", "interval:0,1", "--method", method,
                      "--beta", "0.5"]) == 2
         assert "beta" in capsys.readouterr().err
+
+
+class TestGridLadder:
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """Grid sizes passed to spectral.discretize, in call order."""
+        from scx import spectral
+
+        seen = []
+        real = spectral.discretize
+
+        def recording(man, beta, m):
+            seen.append(m)
+            return real(man, beta, m)
+
+        monkeypatch.setattr(spectral, "discretize", recording)
+        monkeypatch.setattr(spectral, "_cache", type(spectral._cache)())
+        return seen
+
+    def test_doubles_up_to_the_cap(self, grids, capsys):
+        assert main(["compute", "interval:0,1", "--grid", "64", "--tol", "1e-12"]) == 3
+        assert grids == [64, 128, 256, 512, 1024, 2048]
+        assert MAX_GRID_FACTOR == 16
+
+    def test_other_failure_exits_at_once(self, grids, capsys, monkeypatch):
+        from scx import spectral
+
+        def failing(diag, off):
+            raise NumericalFailureError("inverse iteration failed to converge", m=diag.size)
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", failing)
+        assert main(["compute", "ball:n=4,r=3", "--grid", "64"]) == 3
+        assert grids == [64]
+        assert "inverse iteration failed" in capsys.readouterr().err
+
+    def test_reports_the_fine_grid_used(self, capsys):
+        assert main(["compute", "hypball:n=5,r=999", "--csv"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["grid"] == "32000"
+
+    def test_start_grid_output_unchanged(self, capsys):
+        # output of the version before the ladder, byte for byte
+        assert main(["compute", "ball:n=4,r=3", "product:(interval:0,1)x(hemisphere:n=3)",
+                     "--grid", "400", "--csv"]) == 0
+        assert capsys.readouterr().out == (
+            "manifold,method,dim,sc_stab,lambda1,grid,beta\r\n"
+            '"ball:n=4,r=3.0",eigensolve,4,6.525312908748057,1.6313282271870142,800,0.25\r\n'
+            '"product:(interval:0.0,1.0)x(hemisphere:n=3)",eigensolve,4,'
+            "57.47835543111496,14.36958885777874,800,0.25\r\n")
+
+    @pytest.mark.parametrize("r", [1.0, 30.0, 300.0, 800.0, 1000.0])
+    def test_hyperbolic_three_balls_match_closed_form(self, r, capsys):
+        assert main(["compute", f"hypball:n=3,r={r!r}"]) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        exact = math.pi**2 / r**2 - 0.5  # pi^2/r^2 - kappa + 6 beta kappa
+        assert abs(rep["lambda1"] - exact) <= 10 * rep["certificate"] * abs(rep["lambda1"])
 
 
 class TestTableCommand:

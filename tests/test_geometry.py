@@ -78,6 +78,28 @@ class TestSpaceFormBall:
         assert np.allclose(man.profile.warp(d), np.sinh(d))
         assert np.allclose(man.profile.scalar_curv(d), -6.0)
 
+    @pytest.mark.parametrize("n,kappa", [(2, -1.0), (4, -1.0), (3, -4.0)])
+    def test_negative_curvature_log_warp_matches_sinh(self, n, kappa):
+        # rk r reaches 600, where sinh is still finite
+        rk = math.sqrt(-kappa)
+        prof = make_space_form_ball(n, kappa, 600.0 / rk).profile
+        d = np.linspace(1e-3, 600.0 / rk, 101)
+        sinh = np.sinh(rk * d)
+        assert np.allclose(prof.log_density(d), (n - 1) * np.log(sinh / rk),
+                           rtol=1e-13, atol=1e-13)
+        assert np.allclose(prof.drift(d), (n - 1) * rk * np.cosh(rk * d) / sinh,
+                           rtol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_hyperbolic_profile_finite_at_max_radius(self, n):
+        prof = make_hyperbolic_ball(n, 1000.0).profile
+        # log(sinh(1000)) = 1000 - log 2 to double precision
+        assert prof.log_density(1000.0) == pytest.approx((n - 1) * (1000 - math.log(2)),
+                                                         rel=1e-15)
+        assert prof.mean_curvature(1000.0) == n - 1
+        assert np.all(np.isfinite(prof.drift(np.linspace(0.5, 1000.0, 64))))
+
     def test_positive_curvature_radius_cap(self):
         with pytest.raises(InvalidParameterError):
             make_space_form_ball(2, 1, math.pi)

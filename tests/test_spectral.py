@@ -5,7 +5,8 @@ import pytest
 
 from scx import warped
 from scx._oracle2d import five_point_laplacian, rectangle_lambda1
-from scx.bessel import closed_form, first_zero
+from scx.bessel import first_zero
+from scx.closed_forms import closed_form
 from scx.errors import (
     InvalidKindError,
     InvalidParameterError,
@@ -132,7 +133,7 @@ class TestDriftOnDemand:
         prof = man.profile
         grid = operator_grid(man, 256)
         assert drift_calls == []
-        eager = (2 * prof.warp_prime(grid.nodes) / prof.warp(grid.nodes)).astype(float)
+        eager = 2 * 1.0 / np.tanh(1.0 * grid.nodes)  # (n - 1) coth(d)
         assert np.array_equal(grid.drift, eager)
         assert drift_calls == [256]
         grid.drift  # cached on the grid
@@ -273,10 +274,14 @@ class TestScStab:
         assert res.certificate is not None
         assert res.certificate < 1e-2
 
-    def test_non_finite_operator_raises(self):
-        # sinh overflow at r = 800 leaves NaN entries in the operator
-        with pytest.raises(NumericalFailureError, match="non-finite"):
-            sc_stab(make_hyperbolic_ball(3, 800), 500)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [800.0, 1000.0])
+    def test_large_hyperbolic_operator_is_finite(self, n, r):
+        # the exact log warp keeps sinh^(n-1) from overflowing above r ~ 710
+        op = discretize(make_hyperbolic_ball(n, r), 0.25, 500)
+        assert np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.offdiag))
+        assert np.all(np.isfinite(op.grid.drift))
 
     def test_certificate_failure_raises(self):
         with pytest.raises(NumericalFailureError):
