@@ -12,24 +12,35 @@ pivots exactly when s lies below every eigenvalue (the Sturm count that
 ``dstebz`` takes is the number of non-positive pivots of the same
 recurrence), so a shift is accepted only when ``dptsv`` factors T' - s.  Its
 inverse is then entrywise non-negative with 1/(lambda_1 - s) as its largest
-eigenvalue, so the iteration from v = 1 can only converge to the first
-eigenvector.  After each solve the shift moves up to mu - r, with mu the
-Rayleigh quotient and r its residual: some eigenvalue lies within r of mu,
-and once v is close to the first eigenvector that one is lambda_1, so
-convergence is quadratic.  A shift that ``dptsv`` refuses falls back to the
-last accepted one.
+eigenvalue, so the iteration from any strictly positive vector can only
+converge to the first eigenvector.  After each solve the shift moves up to
+mu - r, with mu the Rayleigh quotient and r its residual: some eigenvalue
+lies within r of mu, and once v is close to the first eigenvector that one
+is lambda_1, so convergence is quadratic.  A shift that ``dptsv`` refuses
+falls back to the last accepted one.
+
+A cold solve starts from v = 1 and the Gershgorin lower bound.  A caller
+that knows the answer roughly (spectral.lambda1_beta, from the finer grid of
+its pair) may pass a start vector and a value believed to lie below
+lambda_1: a start vector that is not strictly positive is replaced by v = 1,
+and a hinted first shift that ``dptsv`` refuses falls back to the Gershgorin
+one, so the hints change the number of solves, never the certificate.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.blas import dnrm2
+from scipy.linalg.blas import ddot, dnrm2
 from scipy.linalg.lapack import dptsv, dpttrf
 
 from .errors import NumericalFailureError
 
 MAX_STEPS = 50
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def tridiag_apply(diag, off, v):
@@ -50,58 +61,73 @@ def _below_spectrum(diag, off, x):
     return dpttrf(diag - x, off)[2] == 0
 
 
-def smallest_eigenpair(diag, off):
-    """Return (lambda_1, v) with v the positive-normalized eigenvector."""
+def smallest_eigenpair(diag, off, start=None, below=None):
+    """Return (lambda_1, v) with v the positive-normalized eigenvector.
+
+    ``start`` approximates |v| and ``below`` a value under lambda_1; both are
+    hints that change where the iteration starts, never what it certifies.
+    """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     m = diag.size
-    for name, arr in (("diag", diag), ("off", off)):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise NumericalFailureError(
-                f"operator has non-finite {name} entries",
-                m=m, index=int(bad[0]), value=float(arr[bad[0]]),
-            )
+    offs = -np.abs(off)
+    # max |diag| + 2 max |off|: the maxima propagate nan and inf, so the scale
+    # is finite whenever every entry is (unless the sum itself overflows)
+    scale = float(np.abs(diag).max() - 2 * offs.min(initial=0.0))
+    if not math.isfinite(scale):
+        for name, arr in (("diag", diag), ("off", off)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise NumericalFailureError(
+                    f"operator has non-finite {name} entries",
+                    m=m, index=int(bad[0]), value=float(arr[bad[0]]),
+                )
     if m == 1:
         return float(diag[0]), np.ones(1)
-    scale = float(np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
     # Pivots and Sturm counts are only reliable to O(eps * ||T||) in absolute
     # terms; the floor keeps the zero matrix's first shift below its spectrum.
-    blur = max(8 * np.finfo(float).eps * scale, np.finfo(float).tiny)
+    blur = max(8 * _EPS * scale, _TINY)
 
-    offs = -np.abs(off)
-    pad = np.concatenate(([0.0], offs, [0.0]))
-    rowsum = diag + pad[:-1] + pad[1:]
-    shift = float(rowsum.min()) - blur  # Gershgorin: below every eigenvalue
+    rowsum = diag.copy()
+    rowsum[1:] += offs
+    rowsum[:-1] += offs
+    gershgorin = float(rowsum.min()) - blur  # below every eigenvalue
+    shift = gershgorin if below is None else max(gershgorin, float(below) - blur)
     sigma = None  # the last shift proven to lie below lambda_1
-    v = np.ones(m) / np.sqrt(m)
+    if start is not None and start.min() > 0 and (norm := dnrm2(start)) < np.inf:
+        v = start / norm
+    else:
+        v = np.full(m, 1.0 / math.sqrt(m))
     # In exact arithmetic mu decreases at every step, so stop once it no longer
     # does: rounding makes it stall or wobble by an ulp or two.  The floor keeps
     # the test relative for tiny ||T||.
-    tol, floor = 4 * np.finfo(float).eps, min(scale, 1.0)
+    tol, floor = 4 * _EPS, min(scale, 1.0)
     mu = prev = np.inf
     converged = False
     for steps in range(1, MAX_STEPS + 1):
         *_, w, info = dptsv(diag - shift, offs, v)
-        if info != 0 and sigma is not None:  # shift passed lambda_1: back off
-            shift = sigma
-            *_, w, info = dptsv(diag - shift, offs, v)
+        if info != 0:  # shift passed lambda_1: back off to the last proven one
+            back = gershgorin if sigma is None else sigma
+            if back < shift:
+                shift = back
+                *_, w, info = dptsv(diag - shift, offs, v)
         if info != 0:
             break
         sigma = shift
         nw = dnrm2(w)
         # (T' - sigma) w = v gives T' w_hat - mu w_hat = v/nw + (sigma - mu) w_hat.
-        dot = float(v @ w) / nw
+        dot = ddot(v, w) / nw
         v = w / nw
         # Rayleigh quotient as sum (row sum) v_i^2 - sum e_i (v_{i+1} - v_i)^2:
         # no O(||T||) products cancel, so mu is good far below eps * ||T||.
-        mu = float((rowsum @ (v * v) - offs @ np.diff(v) ** 2) / (v @ v))
+        dv = v[1:] - v[:-1]
+        mu = (ddot(rowsum, v * v) - ddot(offs, dv * dv)) / ddot(v, v)
         if mu >= prev - tol * max(abs(mu), floor):
             converged = True
             break
         prev = mu
         a, gap = 1.0 / nw, mu - sigma
-        r = np.sqrt(max(a * a - 2.0 * gap * dot * a + gap * gap, 0.0))
+        r = math.sqrt(max(a * a - 2.0 * gap * dot * a + gap * gap, 0.0))
         shift = max(sigma, mu - r)
     if not converged:
         raise NumericalFailureError(
@@ -132,9 +158,11 @@ def smallest_eigenpair(diag, off):
             estimate=mu, counts=(below, above), slack=slack,
         )
 
+    # v >= 0 here: with positive pivots, dptsv maps a positive vector to a
+    # non-negative one, so only restored signs can make the largest entry negative
     flip = off > 0
     if flip.any():
         v = v * np.cumprod(np.concatenate(([1.0], np.where(flip, -1.0, 1.0))))
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
     return mu, v

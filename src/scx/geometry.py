@@ -49,6 +49,12 @@ class Kind(str, enum.Enum):
     PRODUCT = "product"
 
 
+def _sinh_drift(dim: int, rk: float, d):
+    """(dim-1) sn'/sn for the warp sn = sinh(rk d)/rk, as (dim-1) rk coth(rk d):
+    finite wherever d > 0, although sinh overflows above rk d ~ 710."""
+    return (dim - 1) * rk / np.tanh(rk * np.asarray(d, float))
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """One-dimensional reduction of a rotationally symmetric manifold."""
@@ -81,7 +87,7 @@ class RadialProfile:
         rk = self._sinh_rate
         if rk is None:
             return (self.dim - 1) * self.warp_prime(d) / self.warp(d)
-        return (self.dim - 1) * rk / np.tanh(rk * np.asarray(d, float))  # coth
+        return _sinh_drift(self.dim, rk, d)
 
     def mean_curvature(self, r: float) -> float:
         """Sum of principal curvatures of the geodesic sphere of radius r."""
@@ -330,9 +336,11 @@ def product(factors) -> ModelManifold:
 def mean_curvature_of_ball(n: int, kappa: float, r: float) -> float:
     """Boundary mean curvature (n-1) sn'(r)/sn(r) of the space-form r-ball."""
     warp, warp_prime = _space_form_warp(kappa)
-    sn = float(warp(r))
+    sn = float(warp(r)) if kappa > 0 else float(r)  # same sign as sinh(rk r)
     if sn <= 0:
         raise InvalidParameterError(f"no geodesic sphere of radius {r} for kappa={kappa}")
+    if kappa < 0:
+        return float(_sinh_drift(n, math.sqrt(-kappa), r))
     return (n - 1) * float(warp_prime(r)) / sn
 
 

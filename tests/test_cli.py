@@ -406,7 +406,7 @@ class TestGridLadder:
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", failing)
         assert main(["compute", "ball:n=4,r=3", "--grid", "64"]) == 3
-        assert grids == [64]
+        assert grids == [64, 128]  # both grids of the pair, no doubling to 256
         assert "inverse iteration failed" in capsys.readouterr().err
 
     def test_reports_the_fine_grid_used(self, capsys):

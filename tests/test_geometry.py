@@ -189,6 +189,27 @@ class TestMeanCurvature:
         with pytest.raises(InvalidParameterError):
             radius_from_mean_curvature(3, -1.0, 1.5)  # needs mu > n-1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("r", [800.0, 1000.0])
+    def test_hyperbolic_large_radius_finite(self, n, r):
+        # sinh(r) overflows here; (n-1) coth(r) rounds to n-1 beyond r ~ 19
+        mu = mean_curvature_of_ball(n, -1.0, r)
+        assert mu == n - 1
+        assert mu == make_hyperbolic_ball(n, r).profile.mean_curvature(r)
+        # n-1 is the mean curvature of a horosphere, which bounds no ball
+        with pytest.raises(InvalidParameterError, match="requires mu >"):
+            radius_from_mean_curvature(n, -1.0, mu)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("r", [0.5, 1.0, 5.0, 10.0, 15.0])
+    def test_hyperbolic_round_trip_to_its_conditioning(self, n, r):
+        # r = atanh(1/coth r) amplifies a relative error of coth r by sinh(2r)/(2r)
+        back = radius_from_mean_curvature(n, -1.0, mean_curvature_of_ball(n, -1.0, r))
+        cond = math.sinh(2 * r) / (2 * r)
+        assert abs(back - r) <= 4 * np.finfo(float).eps * cond * r
+
     def test_round_trip_seeded(self, rng):
         worst = 0.0
         for _ in range(100):

@@ -44,8 +44,50 @@ def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def _bumpy_warp(d):
+    return np.sin(d) * (1.0 + 0.1 * np.sin(d) ** 2)
+
+
 def _scale(diag, off):
     return float(np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
+
+
+def _warm_coarse_call(monkeypatch, man, m, beta=0.25):
+    """(diag, off, hints) of the one hinted solve in a cold lambda1_beta(man, beta, m)."""
+    calls = []
+
+    def recording(diag, off, **hints):
+        calls.append((diag, off, hints))
+        return smallest_eigenpair(diag, off, **hints)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "smallest_eigenpair", recording)
+        mp.setattr(spectral, "_cache", OrderedDict())
+        spectral.lambda1_beta(man, beta, m)
+    assert [c[0].size for c in calls] == [2 * m, m]  # the fine grid first
+    assert [sorted(c[2]) for c in calls] == [[], ["below", "start"]]
+    return calls[1]
+
+
+def _dptsv_calls(monkeypatch, *args, **hints):
+    """smallest_eigenpair(*args, **hints) and the info of each dptsv call it made."""
+    infos = []
+    inner = _tridiag.dptsv
+
+    def recording(*a, **kw):
+        out = inner(*a, **kw)
+        infos.append(out[-1])
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_tridiag, "dptsv", recording)
+        out = smallest_eigenpair(*args, **hints)
+    return out, infos
+
+
+def _slack(lam, diag, off):
+    """The certificate's first slack: each certified value lies this close to lambda_1."""
+    return max(32 * np.finfo(float).eps * _scale(diag, off), 1e-12 * max(abs(lam), 1.0))
 
 
 class TestSmallestEigenpair:
@@ -104,12 +146,13 @@ class TestSmallestEigenpair:
 
     @pytest.mark.parametrize("where", ["diag", "off"])
     def test_non_finite_entries_rejected(self, where):
-        diag, off, _ = _interval_matrix(50)
-        (diag if where == "diag" else off)[7] = np.nan
-        with pytest.raises(NumericalFailureError, match=f"non-finite {where}") as exc:
-            smallest_eigenpair(diag, off)
-        assert exc.value.details["m"] == 50
-        assert exc.value.details["index"] == 7
+        for bad in (np.nan, np.inf, -np.inf):
+            diag, off, _ = _interval_matrix(50)
+            (diag if where == "diag" else off)[7] = bad
+            with pytest.raises(NumericalFailureError, match=f"non-finite {where}") as exc:
+                smallest_eigenpair(diag, off)
+            assert exc.value.details["m"] == 50
+            assert exc.value.details["index"] == 7
 
     def test_lapack_failure_becomes_numerical_failure(self, monkeypatch):
         def refusing(d, e, b, *args, **kwargs):
@@ -174,11 +217,14 @@ class TestSmallestEigenpair:
         assert abs(lam - ref[0]) <= 1e-12 * _scale(op.diag, op.offdiag)
         assert np.all(v > 0)
 
-    @pytest.mark.parametrize("case", ["interval", "stieltjes", "mixed"])
+    @pytest.mark.parametrize("case", ["interval", "stieltjes", "mixed", "warm"])
     def test_accepted_shifts_below_lambda1(self, case, monkeypatch):
         rng = np.random.default_rng(7)
+        hints = {}
         if case == "interval":
             diag, off, _ = _interval_matrix(300)
+        elif case == "warm":
+            diag, off, hints = _warm_coarse_call(monkeypatch, make_hyperbolic_ball(4, 3.0), 250)
         else:
             diag, off = (_stieltjes if case == "stieltjes" else _mixed)(rng, 250)
         lam1 = np.linalg.eigvalsh(_dense(diag, off))[0]
@@ -193,7 +239,7 @@ class TestSmallestEigenpair:
             return out
 
         monkeypatch.setattr(_tridiag, "dptsv", spy)
-        lam, _ = smallest_eigenpair(diag, off)
+        lam, _ = smallest_eigenpair(diag, off, **hints)
         blur = 8 * np.finfo(float).eps * _scale(diag, off)
         assert accepted and max(accepted) <= lam1 + blur
         assert len(accepted) <= _tridiag.MAX_STEPS
@@ -222,6 +268,66 @@ class TestSmallestEigenpair:
             assert _below_spectrum(diag, off, x) == (_count(diag, off, -np.inf, x) == 0)
 
 
+class TestWarmStart:
+    # dptsv calls of the hinted coarse solve at m = 500, as measured; a cold
+    # solve of the same operator takes 8, 5 and 5
+    @pytest.mark.parametrize("man, warm", [
+        (make_space_form_ball(3, 0.0, 1.0), 2),
+        (make_hyperbolic_ball(4, 3.0), 3),
+        (make_interval(0.0, 1.0), 3),
+    ], ids=["flat-ball", "hypball", "interval"])
+    def test_warm_coarse_solve_takes_fewer_solves(self, monkeypatch, man, warm):
+        diag, off, hints = _warm_coarse_call(monkeypatch, man, 500)
+        (lam_w, _), infos_w = _dptsv_calls(monkeypatch, diag, off, **hints)
+        (lam_c, _), infos_c = _dptsv_calls(monkeypatch, diag, off)
+        assert len(infos_w) <= warm < len(infos_c)
+        assert abs(lam_w - lam_c) <= 2 * _slack(lam_c, diag, off)
+
+    @pytest.mark.parametrize("case", ["interval", "stieltjes", "hypball"])
+    @pytest.mark.parametrize("above", [1e-3, 1.0])
+    def test_below_hint_above_lambda1_falls_back(self, monkeypatch, case, above):
+        if case == "interval":
+            diag, off, _ = _interval_matrix(300)
+        elif case == "stieltjes":
+            diag, off = _stieltjes(np.random.default_rng(11), 250)
+        else:
+            diag, off, _ = _warm_coarse_call(monkeypatch, make_hyperbolic_ball(4, 3.0), 250)
+        lam1 = np.linalg.eigvalsh(_dense(diag, off))[0]
+        below = lam1 + above * abs(lam1)
+        assert not _below_spectrum(diag, -np.abs(off), below)  # dptsv must refuse it
+        (lam_h, v_h), infos = _dptsv_calls(monkeypatch, diag, off, below=below)
+        assert infos[0] > 0 and infos[1] == 0  # refused, then the Gershgorin shift
+        lam, v = smallest_eigenpair(diag, off)
+        assert abs(lam_h - lam) <= 2 * _slack(lam, diag, off)
+        assert np.all(v_h > 0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_start_not_strictly_positive_falls_back_to_ones(self, bad):
+        diag, off = _stieltjes(np.random.default_rng(12), 200)
+        lam, v = smallest_eigenpair(diag, off)
+        start = v.copy()
+        start[17] = bad
+        lam_s, v_s = smallest_eigenpair(diag, off, start=start)
+        assert lam_s == lam  # the cold iteration, bit for bit
+        assert v_s.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("man", [
+        make_interval(0.0, 1.5),
+        make_space_form_ball(4, 0.0, 1.3),
+        make_hyperbolic_ball(3, 40.0),
+        make_spherical_cap(5, 2.0),
+        make_radial_custom(3, _bumpy_warp, 1.0),
+    ], ids=["interval", "flat-ball", "hypball", "cap", "custom"])
+    def test_richardson_matches_cold_pair(self, fresh_cache, man):
+        m = 300
+        res = spectral.lambda1_beta(man, 0.25, m)
+        cold = [spectral.first_eigenpair(spectral.discretize(man, 0.25, k)).lambda1
+                for k in (m, 2 * m)]
+        assert res.lambda1 == cold[1]
+        assert abs(res.richardson_estimate - (4.0 * cold[1] - cold[0]) / 3.0) \
+            <= 1e-13 * abs(res.lambda1)
+
+
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """An empty solve cache, restored after the test."""
@@ -240,10 +346,6 @@ def discretized(monkeypatch):
 
     monkeypatch.setattr(spectral, "discretize", counting)
     return calls
-
-
-def _bumpy_warp(d):
-    return np.sin(d) * (1.0 + 0.1 * np.sin(d) ** 2)
 
 
 class TestSolveCache:
