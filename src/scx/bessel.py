@@ -2,9 +2,14 @@
 
 The first Dirichlet eigenvalue of the Laplacian on the unit flat n-ball is
 j_nu^2 for nu = n/2 - 1, so the stabilized curvature of the flat ball is
-4 j_nu^2 / r^2.  The zero finder brackets by a sign scan and polishes with
-Newton steps; the enclosure formula gives a priori two-sided bounds for
-nu > 1/2.  The closed forms of every other geometry are in ``closed_forms``.
+4 j_nu^2 / r^2.  j_nu has two independent routes.  ``closed_forms`` finds it
+as a tridiagonal eigenvalue with ``math`` alone; the closed forms and the
+hyperbolic c(r) window use that route, so they load no scipy.  This module
+is the other route, and it loads ``scipy.special``: first_zero brackets the
+zero of ``special.jv`` by a sign scan and polishes it with Newton steps, and
+``verify bessel`` and the acceptance tests check it.  The enclosure formula
+gives a priori two-sided bounds for nu > 1/2.  flat_ball_sc reads
+``closed_forms.closed_form``, which holds every closed form.
 """
 
 from __future__ import annotations

@@ -13,11 +13,14 @@ Spec grammar (whitespace-insensitive):
 Exit codes: 0 success, 2 parse/parameter error, 3 numerical failure,
 4 verification failure.
 
-Each command imports the modules it needs inside its own branch, so a
-closed form of an interval, box, hemisphere or 3-D ball loads no scipy
-module, a flat-ball closed form loads only ``scipy.special`` and an
-eigensolve only ``scipy.linalg`` (plus ``scipy.special`` for a hyperbolic
-ball's c(r) window).
+Each command imports the modules it needs inside its own branch, so every
+closed form loads no scipy module (flat balls take j_nu from
+``closed_forms.first_bessel_zero``, which uses only ``math``), and an
+eigensolve and ``table`` load only ``scipy.linalg`` (a hyperbolic ball's
+c(r) window takes j_nu from the same ``math`` route).  Only ``verify``
+loads ``scipy.special``, for the independent j_nu of ``bessel.first_zero``.
+Every method refuses a ``--tol`` that is not finite and positive and a
+``--grid`` below MIN_GRID, whether or not it reads them.
 
 ``compute`` (eigensolve) treats ``--grid`` as the start of a ladder: while
 the grid-doubling certificate fails, the grid is doubled, up to
@@ -33,9 +36,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ._constants import DEFAULT_GRID, DEFAULT_TOL, SUITES
+from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID, SUITES
 from .errors import (
     InvalidParameterError,
     NumericalFailureError,
@@ -250,6 +253,10 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
         "method": method,
         "beta": ms.beta,
     }
+    if not 0 < ms.tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and positive, got {ms.tol}")
+    if ms.grid < MIN_GRID:
+        raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {ms.grid}")
     if method != "eigensolve" and ms.beta != 0.25:
         raise InvalidParameterError(
             f"method {method!r} computes sc at beta = 0.25 only, got beta = {ms.beta:g}"
@@ -268,7 +275,11 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             from . import comparison
 
             n, r = man.params
-            lam0 = res.lambda1 + res.beta * n * (n - 1)  # beta * sigma = -beta n(n-1)
+            if ms.beta == 0.25:
+                lam0 = res.lambda1 + res.beta * n * (n - 1)  # beta * sigma = -beta n(n-1)
+            else:
+                # adding beta n(n-1) back cancels at large |beta|: solve beta = 0
+                lam0 = _ladder_solve(replace(ms, beta=0.0)).lambda1
             c = comparison.hyperbolic_c_from_lambda(n, r, lam0)
             report["c_r"] = c
             report["c_r_proven_window"] = list(comparison.hyperbolic_c_window(n, r))

@@ -20,7 +20,9 @@ and the flat ball's (n-1)(n-3)/(4 rho^2).  Hence lambda_1 - (n-1)^2/4 lies
 between pi^2/r^2 and j_nu^2/r^2 with nu = n/2 - 1 (the order flips for
 n = 2; the bounds meet at n = 3), so c(r) and sc = 4 (lambda_1 - (n-1)^2/4)
 - (n-1) have closed-form two-sided bounds, and sc changes sign at a radius in
-[2 min(pi, j_nu), 2 max(pi, j_nu)] / sqrt(n-1).
+[2 min(pi, j_nu), 2 max(pi, j_nu)] / sqrt(n-1).  j_nu comes from
+``closed_forms.first_bessel_zero``, which uses only ``math``, so a hyperbolic
+eigensolve loads no ``scipy.special`` for this window.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tridiag import tridiag_apply
-from .bessel import first_zero
+from .closed_forms import first_bessel_zero
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import (
     ModelManifold,
@@ -208,7 +210,7 @@ def hyperbolic_c_from_lambda(n: int, r: float, lam: float) -> float:
 
 def hyperbolic_c_window(n: int, r: float) -> tuple[float, float]:
     """The proven bounds on c(r) of hyperbolic_c, from closed forms alone."""
-    lo, hi = sorted((math.pi**2, first_zero(n / 2.0 - 1.0).j ** 2))
+    lo, hi = sorted((math.pi**2, first_bessel_zero(n / 2.0 - 1.0) ** 2))
     k = 4.0 / (n - 1) ** 2
     return (1.0 + (k * lo - 1.0) / r**2, 1.0 + (k * hi - 1.0) / r**2)
 

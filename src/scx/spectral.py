@@ -18,7 +18,9 @@ Products and boxes are solved only by lambda1_beta, which adds its factors'
 results (spectral additivity); sc_stab and eigen_product call it.  The
 stabilized curvature is 4 lambda_1 at beta = 1/4 (SpectralResult.sc_stab).
 Results carry a two-grid convergence certificate and a Richardson
-extrapolation (4 lam(2m) - lam(m))/3.
+extrapolation (4 lam(2m) - lam(m))/3; where 4 lam(2m) overflows, it is
+formed as lam(2m) + (lam(2m) - lam(m))/3, and a value or product sum that
+still overflows raises NumericalFailureError.
 
 lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
 lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
@@ -45,12 +47,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._constants import DEFAULT_GRID, DEFAULT_TOL
+from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID
 from ._tridiag import smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import Kind, ModelManifold, RadialProfile, product
 
-MIN_GRID = 16
 # message of the NumericalFailureError raised when the two grids disagree
 CERTIFICATE_FAILED = "grid-doubling certificate failed"
 
@@ -239,7 +240,13 @@ def lambda1_beta(
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta}")
     if man.is_product_like:
-        return _add_factors([lambda1_beta(f, beta, m, tol) for f in man.factors])
+        res = _add_factors([lambda1_beta(f, beta, m, tol) for f in man.factors])
+        if not (math.isfinite(res.lambda1) and math.isfinite(res.richardson_estimate)):
+            raise NumericalFailureError(
+                "product eigenvalue overflows",
+                lambda1=res.lambda1, richardson=res.richardson_estimate,
+            )
+        return res
     key = (man.key(), beta, m)
     pair = _cache.get(key)
     if pair is None:
@@ -256,6 +263,11 @@ def lambda1_beta(
             m=m, coarse=lam_c, fine=lam_f, certificate=cert, tol=tol,
         )
     richardson = (4.0 * lam_f - lam_c) / 3.0
+    if not math.isfinite(richardson):  # 4 lam_f overflows above ~4.5e307
+        richardson = lam_f + (lam_f - lam_c) / 3.0
+        if not math.isfinite(richardson):
+            raise NumericalFailureError(
+                "Richardson estimate overflows", m=m, coarse=lam_c, fine=lam_f)
     return SpectralResult(
         lambda1=lam_f, eigenfunction=None, grid_size=2 * m, beta=float(beta),
         richardson_estimate=richardson, certificate=cert,

@@ -10,8 +10,9 @@ from scx.bessel import (
     flat_ball_sc,
     qw_enclosure,
 )
-from scx.closed_forms import closed_form
-from scx.errors import InvalidParameterError
+from scx import closed_forms
+from scx.closed_forms import closed_form, first_bessel_zero
+from scx.errors import InvalidParameterError, NumericalFailureError
 from scx.geometry import (
     make_box,
     make_hyperbolic_ball,
@@ -54,6 +55,8 @@ def series_zero(nu: float) -> float:
         assert hi < 25
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: the bracket is final
+            break
         if series_j(nu, mid) > 0:
             lo = mid
         else:
@@ -211,6 +214,57 @@ _CLOSED_FORMS = (
     + [(f"flat {n}-ball", make_space_form_ball(n, 0.0, 1.5), 0.25,
         series_zero(n / 2 - 1) ** 2 / 2.25) for n in range(2, 9)]
 )
+
+
+# nu = -1/2 .. 300 in steps of 1/4; it holds nu = n/2 - 1 for n = 2..600
+_ORDERS = [-0.5 + 0.25 * i for i in range(1203)]
+
+
+class TestFirstBesselZero:
+    """closed_forms.first_bessel_zero (a tridiagonal eigenvalue, math only)
+    against the scipy route bessel.first_zero and the series oracle."""
+
+    def test_matches_scipy_route(self):
+        for nu in _ORDERS:
+            ref = first_zero(nu).j
+            assert abs(first_bessel_zero(nu) - ref) <= 1e-15 * ref, nu
+
+    def test_matches_series_oracle(self):
+        # the oracle is accurate up to nu = 12 (series_j)
+        for nu in _ORDERS[:51]:
+            oracle = series_zero(nu)
+            assert abs(first_bessel_zero(nu) - oracle) <= 1e-15 * oracle, nu
+
+    def test_half_orders_exact(self):
+        assert first_bessel_zero(-0.5) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert first_bessel_zero(0.5) == pytest.approx(math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("nu", [1e3, 1e6, 1.9e11, 2e11])
+    def test_high_orders_match_scipy_route(self, nu):
+        # from nu = 2e11 on the value is the Qu-Wong upper bound
+        assert first_bessel_zero(nu) == pytest.approx(first_zero(nu).j, rel=1e-15)
+
+    @pytest.mark.parametrize("nu", [-0.6, -1.0, math.nan, math.inf])
+    def test_domain(self, nu):
+        with pytest.raises(InvalidParameterError, match="order"):
+            first_bessel_zero(nu)
+
+    def test_truncations_that_disagree_raise(self, monkeypatch):
+        # with no agreement allowed, the 2 size eigenvalue cannot be bracketed
+        monkeypatch.setattr(closed_forms, "_TRUNCATION_AGREEMENT", 0.0)
+        with pytest.raises(NumericalFailureError, match="truncations disagree"):
+            first_bessel_zero(1.0)
+
+    def test_bisection_that_stalls_raises(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "_MAX_HALVINGS", 20)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            first_bessel_zero(1.0)
+
+    def test_zero_pivot_counts_as_negative(self):
+        # b2 = [1/4]: the 2x2 matrix has eigenvalues -1/2 and 1/2; at x = 1/2
+        # the second pivot is -1/2 - (1/4)/(-1/2) = 0
+        assert closed_forms._count_below([0.25], 0.5) == 2
+        assert closed_forms._count_below([0.25], 0.25) == 1
 
 
 class TestClosedForm:

@@ -228,6 +228,17 @@ class TestComputeCommand:
         rep = json.loads(capsys.readouterr().out)[0]
         assert rep["sc_stab"] == pytest.approx(4 * 311.5637146339061**2, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2 * 10**6, 2 * 10**16])
+    def test_closed_form_huge_dimensional_ball(self, n, capsys):
+        # the scipy route's 0.1-step scan cannot advance past nu ~ 1e16 and
+        # never returned; j_nu lies within the Qu-Wong bounds
+        # nu + 1.8557571 nu^(1/3) + (0 or 1.033150 nu^(-1/3))
+        assert main(["compute", f"ball:n={n},r=1", "--method", "closed_form"]) == 0
+        nu = n / 2 - 1
+        j = nu + 1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3)
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["lambda1"] == pytest.approx(j**2, rel=1e-10)
+
     def test_closed_form_hemisphere(self, capsys):
         main(["compute", "hemisphere:n=4", "--method", "closed_form"])
         rep = json.loads(capsys.readouterr().out)[0]
@@ -391,6 +402,59 @@ class TestComputeCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: operator has non-finite diag")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", ["1e300", "-1e300", "2.9e307", "1"])
+    def test_c_r_solved_at_beta_zero(self, beta, capsys):
+        # lambda1 + beta n(n-1) cancels at large |beta| (it gave c_r = -1.19e285
+        # at beta = 1e300); away from the default beta, c_r is the beta = 0 value
+        main(["compute", "hypball:n=3,r=2", "--beta=0", "--grid", "400"])
+        want = json.loads(capsys.readouterr().out)[0]["c_r"]
+        assert main(["compute", "hypball:n=3,r=2", f"--beta={beta}", "--grid", "400"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["c_r"] == want
+
+    def test_c_r_at_default_beta_from_the_same_solve(self, capsys):
+        assert main(["compute", "hypball:n=4,r=3", "--grid", "400"]) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        assert rep["c_r"] == comparison.hyperbolic_c_from_lambda(4, 3.0, rep["lambda1"] + 3.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_richardson_near_overflow_is_json(self, capsys):
+        # 4 lam_f overflows though lam_f = -1.74e308 is finite: the call printed
+        # the non-JSON token -Infinity
+        assert main(["compute", "hypball:n=3,r=2", "--beta=2.9e307", "--grid", "64"]) == 0
+
+        def refuse(token):
+            raise ValueError(token)
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=refuse)[0]
+        assert rep["richardson"] == pytest.approx(rep["lambda1"], rel=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", ["2.9e307", "1.6e307"])
+    def test_overflowing_product_exits_numerical(self, beta, capsys):
+        spec = "product:(hypball:n=3,r=2)x(hypball:n=3,r=2)"
+        assert main(["compute", spec, f"--beta={beta}", "--grid", "64"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: product eigenvalue overflows")
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "closed_form", "--tol=nan", "--grid", "5"],
+        ["--method", "closed_form", "--tol=nan"],
+        ["--method", "closed_form", "--tol=0"],
+        ["--method", "closed_form", "--grid", "15"],
+        ["--method", "variational", "--tol=nan"],
+        ["--method", "variational", "--tol=inf"],
+        ["--method", "variational", "--grid", "5"],
+    ])
+    def test_every_method_validates_tol_and_grid(self, args, capsys):
+        # closed_form reads neither flag and variational no --tol, but each
+        # refuses what an eigensolve refuses
+        assert main(["compute", "interval:0,1", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(("error: tol must be", "error: grid size must be"))
 
     def test_env_grid_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SCX_GRID", "400")

@@ -1,6 +1,7 @@
 """Which modules each entry point loads, read from sys.modules in a fresh
-interpreter: ``import scx`` loads no numpy or scipy, each CLI call loads only
-the scipy subpackages it uses, and no timed pass imports a module of its own.
+interpreter: ``import scx`` loads no numpy or scipy, no closed form loads
+scipy, an eigensolve and ``table`` load only ``scipy.linalg``, and no timed
+pass imports a module of its own.
 """
 
 import json
@@ -54,9 +55,14 @@ def test_closed_form_loads_no_scipy(spec):
     assert "scx.spectral" not in got["scx"] and "scx.bessel" not in got["scx"]
 
 
-def test_flat_ball_closed_form_loads_scipy_special_only():
-    got = _after_cli("compute", "ball:n=2,r=1", "--method", "closed_form", "--csv")
-    assert got["scipy"] == ["special"]
+@pytest.mark.parametrize("spec", [
+    "ball:n=2,r=1", "ball:n=4,r=1", "product:(interval:0,1)x(ball:n=3,r=2)",
+])
+def test_flat_ball_closed_form_loads_no_scipy(spec):
+    # j_nu comes from closed_forms.first_bessel_zero, which uses only math
+    got = _after_cli("compute", spec, "--method", "closed_form", "--csv")
+    assert got["scipy"] == []
+    assert "scx.spectral" not in got["scx"] and "scx.bessel" not in got["scx"]
 
 
 @pytest.mark.parametrize("spec", ["interval:0,1", "ball:n=4,r=3", "cap:n=2,angle=1"])
@@ -68,9 +74,17 @@ def test_eigensolve_loads_scipy_linalg_only(spec):
         assert name not in got["scx"]
 
 
-def test_hyperbolic_eigensolve_adds_scipy_special_for_its_window():
+def test_hyperbolic_eigensolve_loads_scipy_linalg_only():
+    # its c(r) window takes j_nu from the math-only route
     got = _after_cli("compute", "hypball:n=4,r=3", "--grid", "400")
-    assert got["scipy"] == ["linalg", "special"]
+    assert got["scipy"] == ["linalg"]
+    assert "scx.bessel" not in got["scx"]
+
+
+def test_table_loads_scipy_linalg_only():
+    got = _after_cli("table", "--grid", "400")
+    assert got["scipy"] == ["linalg"]
+    assert "scx.bessel" not in got["scx"]
 
 
 def test_verify_loads_what_the_suites_import():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scx import warped
+from scx import spectral, warped
 from scx._oracle2d import five_point_laplacian, rectangle_lambda1
 from scx.bessel import first_zero
 from scx.closed_forms import closed_form
@@ -314,6 +314,32 @@ class TestSolveParameters:
     def test_overflowing_beta_is_a_numerical_failure(self):
         with pytest.raises(NumericalFailureError, match="non-finite diag"):
             lambda1_beta(make_hyperbolic_ball(3, 2), 1e308, 64)
+
+    @pytest.mark.parametrize("man,beta", [
+        (make_interval(0, 1), 0.25), (make_hyperbolic_ball(3, 2), 1e300),
+        (make_spherical_cap(4, 2.0), -3.0),
+    ])
+    def test_finite_richardson_keeps_its_formula(self, man, beta):
+        res = lambda1_beta(man, beta, 64)
+        lam_c, lam_f = spectral._cache[(man.key(), beta, 64)]
+        assert res.richardson_estimate == (4.0 * lam_f - lam_c) / 3.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_richardson_finite_where_four_lambda_overflows(self):
+        # lambda_1 = -1.74e308 is finite, 4 lambda_1 is not
+        man = make_hyperbolic_ball(3, 2)
+        res = lambda1_beta(man, 2.9e307, 64)
+        lam_c, lam_f = spectral._cache[(man.key(), 2.9e307, 64)]
+        assert math.isinf(4.0 * lam_f)
+        assert res.richardson_estimate == lam_f + (lam_f - lam_c) / 3.0
+        assert math.isfinite(res.richardson_estimate)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [2.9e307, 1.6e307])
+    def test_overflowing_product_is_a_numerical_failure(self, beta):
+        hyp = make_hyperbolic_ball(3, 2)
+        with pytest.raises(NumericalFailureError, match="product eigenvalue overflows"):
+            lambda1_beta(product([hyp, hyp]), beta, 64)
 
     def test_negative_curvature_ball_at_the_radius_cap(self):
         # the kappa < 0 ball is the hyperbolic ball of radius sqrt(-kappa) r,
