@@ -10,8 +10,9 @@ first alternates from seed to seed, so that drift in the machine's speed
 reaches both alike.  The run length is fixed so that every BENCH file is
 comparable with the others.  For each side the file holds the commit, the
 ``src/scx`` line count, every run's end-to-end metrics and their
-per-workload medians and quartiles; it also counts, per metric, the seeds on
-which the change read better than the parent (``better`` from
+per-workload medians and quartiles, and the raw (unscaled) wall-time figures
+of each ``cli-cold`` run with their medians; it also counts, per metric, the
+seeds on which the change read better than the parent (``better`` from
 BENCHMARK.json).
 """
 
@@ -29,6 +30,9 @@ from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 15.0
+# raw wall-time figures copied from each cli-cold run's results details
+CLI_RAW = ("cli_closed_form_ms_p50", "cli_eigensolve_ms_p50", "cli_variational_ms",
+           "table_s", "raw_op_ms_p50", "raw_op_ms_tail")
 
 
 def git(*args: str, **kw) -> subprocess.CompletedProcess:
@@ -60,6 +64,15 @@ def run_bench(checkout: str, seed: int) -> dict:
         workload, name = key.split(".", 1)
         out.setdefault(workload, {})[name] = entry["value"]
     return out
+
+
+def cli_raw(checkout: str, seed: int) -> dict:
+    """The CLI_RAW figures of the cli-cold run that run_bench just made."""
+    path = os.path.join(checkout, "perfbench", "results",
+                        f"cli-cold-seed{seed}-trace0.json")
+    with open(path, encoding="utf-8") as fh:
+        details = json.load(fh)["details"]
+    return {name: details[name] for name in CLI_RAW}
 
 
 def summary(runs: list[dict], stat) -> dict:
@@ -103,16 +116,20 @@ def main(argv=None) -> int:
                                               text=True).stdout.strip())}}
         for side in sides.values():
             side["src_scx_lines"] = src_lines(side["checkout"])
-            side["runs"] = []
+            side["runs"], side["cli_cold_raw"] = [], []
         for i, seed in enumerate(args.seeds):
             for name in list(sides)[::1 if i % 2 == 0 else -1]:
                 print(f"seed {seed}: {name}", file=sys.stderr, flush=True)
                 sides[name]["runs"].append(
                     run_bench(sides[name]["checkout"], seed))
+                sides[name]["cli_cold_raw"].append(
+                    cli_raw(sides[name]["checkout"], seed))
     for side in sides.values():
         del side["checkout"]
         side["medians"] = summary(side["runs"], median)
         side["quartiles"] = summary(side["runs"], quartiles)
+        side["cli_cold_raw_medians"] = {
+            name: median(run[name] for run in side["cli_cold_raw"]) for name in CLI_RAW}
     sides["change_wins"] = wins(sides["parent"]["runs"], sides["change"]["runs"])
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

@@ -25,18 +25,66 @@ its pair) may pass a start vector and a value believed to lie below
 lambda_1: a start vector that is not strictly positive is replaced by v = 1,
 and a hinted first shift that ``dptsv`` refuses falls back to the Gershgorin
 one, so the hints change the number of solves, never the certificate.
+
+The four routines ``dptsv``, ``dpttrf``, ``ddot`` and ``dnrm2`` are bound
+from scipy's compiled modules ``scipy.linalg._flapack`` and ``_fblas``,
+loaded from their files without running ``scipy/linalg/__init__``.  That
+package imports ``scipy._lib._array_api`` and through it numpy's f2py,
+random, ma and testing: about 300 ms of a cold eigensolve call on a shared
+2-core VM, against about 5 ms for the two files.  Each module is registered
+in ``sys.modules`` under its full name, so a later ``import scipy.linalg``
+reuses it and ``scipy.linalg.lapack.dptsv`` is the same function object; if
+scipy.linalg is imported first, its modules are used.  Only where the files cannot be
+found are the routines taken from the public ``scipy.linalg.lapack`` and
+``blas``.  ``_count`` runs only when the certificate fails and imports
+``scipy.linalg`` itself.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.blas import ddot, dnrm2
-from scipy.linalg.lapack import dptsv, dpttrf
 
 from .errors import NumericalFailureError
+
+
+def _scipy_linalg_extension(name: str):
+    """The compiled module ``scipy.linalg.<name>``, loaded from its file and
+    registered under its full name, or None if the file is not found."""
+    full = "scipy.linalg." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = importlib.util.find_spec("scipy")  # imports nothing
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if found is None or found.origin is None:
+        return None
+    spec = importlib.util.spec_from_file_location(full, found.origin)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(full, None)
+        raise
+    return module
+
+
+_lapack = _scipy_linalg_extension("_flapack")
+if _lapack is None:  # an install layout without the file: the public modules
+    from scipy.linalg import lapack as _lapack
+_blas = _scipy_linalg_extension("_fblas")
+if _blas is None:
+    from scipy.linalg import blas as _blas
+dptsv, dpttrf = _lapack.dptsv, _lapack.dpttrf
+ddot, dnrm2 = _blas.ddot, _blas.dnrm2
 
 MAX_STEPS = 50
 _EPS = float(np.finfo(float).eps)
@@ -52,6 +100,8 @@ def tridiag_apply(diag, off, v):
 
 def _count(diag, off, lo, hi):
     """Number of eigenvalues in (lo, hi], from dstebz Sturm counts."""
+    from scipy.linalg import eigvalsh_tridiagonal  # only a failed certificate
+
     return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
                                 check_finite=False).size
 

@@ -5,8 +5,8 @@ j_nu^2 for nu = n/2 - 1, so the stabilized curvature of the flat ball is
 4 j_nu^2 / r^2.  j_nu has two independent routes.  ``closed_forms`` finds it
 as a tridiagonal eigenvalue with ``math`` alone; the closed forms and the
 hyperbolic c(r) window use that route, so they load no scipy.  This module
-is the other route, and it loads ``scipy.special``: first_zero brackets the
-zero of ``special.jv`` by a sign scan and polishes it with Newton steps, and
+is the other route, and it loads ``scipy.special``: first_zero bisects
+``special.jv`` on the Qu-Wong bracket to two adjacent floats, and
 ``verify bessel`` and the acceptance tests check it.  The enclosure formula
 gives a priori two-sided bounds for nu > 1/2.  flat_ball_sc reads
 ``closed_forms.closed_form``, which holds every closed form.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .closed_forms import closed_form
+from .closed_forms import closed_form, qu_wong_bounds
 from .errors import InvalidParameterError, NumericalFailureError
 from .geometry import make_space_form_ball
 
@@ -31,8 +31,8 @@ from .geometry import make_space_form_ball
 _EPS_BOUND = 0.13 * (8.0 / (2.847 * math.pi)) ** 2
 _A_CONST = (9.0 * math.pi / 8.0) ** (2.0 / 3.0) * (1.0 + _EPS_BOUND)
 
-_SCAN_STEP = 0.1
-_SCAN_MAX = 200.0
+# first_zero widens its bracket by this many ulps at each end
+_WIDEN_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     return out
 
 
-def bessel_j_prime(nu: float, x: float) -> float:
-    """d/dx J_nu(x) via J_{nu-1} - (nu/x) J_nu."""
-    if x == 0:
-        raise InvalidParameterError("derivative recurrence needs x > 0")
-    return float(special.jv(nu - 1.0, x)) - (nu / x) * float(special.jv(nu, x))
-
-
 def qw_enclosure(nu: float) -> tuple[float, float]:
     """Two-sided bounds for j_nu, valid for nu > 1/2.
 
@@ -75,64 +68,51 @@ def qw_enclosure(nu: float) -> tuple[float, float]:
     return (lower, upper)
 
 
-def _scan_limit(nu: float) -> float:
-    """Where the sign scan gives up: max(200, nu + 4 nu^(1/3) + 10).
+def zero_bracket(nu: float) -> tuple[float, float]:
+    """An interval that holds j_nu and no other zero of J_nu, for nu >= -1/2.
 
-    This lies above the upper bound j_nu < nu + 1.8557571 nu^(1/3) +
-    1.033150 nu^(-1/3) (Qu & Wong, Trans. AMS 351, 1999) for every order;
-    below nu ~ 160 it is 200.
+    nu <= 0: [1.5, 2.5], since pi/2 = j_{-1/2} <= j_nu <= j_0 < 2.41 and the
+    second zero lies above 3 pi/2.  nu > 0: the Qu-Wong bounds lo < j_nu < hi
+    (closed_forms.qu_wong_bounds), with hi cut to lo + pi, which lies below
+    the second zero: for nu >= 1/2 zeros are at least pi apart, and for
+    nu < 1/2, lo + pi < 5.2 < j_{0,2} <= j_{nu,2}.  The cut moves hi only
+    below nu = 1/2, where j_nu <= pi < lo + pi.
     """
-    return max(_SCAN_MAX, nu + 4.0 * max(nu, 0.0) ** (1.0 / 3.0) + 10.0)
+    if nu <= 0:
+        return 1.5, 2.5
+    lo, hi = qu_wong_bounds(nu)
+    return lo, min(hi, lo + math.pi)
 
 
 def first_zero(nu: float) -> BesselZero:
-    """First positive zero of J_nu: sign-scan bracket, bisection, Newton polish."""
-    if nu < -0.5:
-        raise InvalidParameterError(f"order must be >= -1/2, got nu={nu}")
-    lo = max(nu, 0.5)
-    f_lo = float(special.jv(nu, lo))
-    if f_lo <= 0:
+    """First positive zero of J_nu: bisection of zero_bracket to adjacent floats.
+
+    The bracket is first widened by _WIDEN_ULPS at each end, since from
+    nu ~ 1e11 on it is only a few ulps wide and its rounded ends can lie on
+    the wrong side of the zero of ``special.jv``.  The float of the final
+    pair with the smaller |J_nu| is returned.
+    """
+    if not -0.5 <= nu < math.inf:
+        raise InvalidParameterError(f"order must be finite and >= -1/2, got nu={nu}")
+    lo, hi = zero_bracket(nu)
+    lo -= _WIDEN_ULPS * math.ulp(lo)
+    hi += _WIDEN_ULPS * math.ulp(hi)
+    f_lo, f_hi = float(special.jv(nu, lo)), float(special.jv(nu, hi))
+    if not f_lo > 0 > f_hi:
         raise NumericalFailureError(
-            f"scan start J_{nu}({lo}) = {f_lo} is not positive", nu=nu
+            f"no sign change of J_{nu} across its zero bracket",
+            nu=nu, bracket=(lo, hi), values=(f_lo, f_hi),
         )
-    scan_max = _scan_limit(nu)
-    hi = lo
-    f_hi = f_lo
-    while f_hi > 0:
-        lo, f_lo = hi, f_hi
-        hi += _SCAN_STEP
-        if hi > scan_max:
-            raise NumericalFailureError(
-                f"no sign change of J_{nu} found below {scan_max:g}", nu=nu
-            )
-        f_hi = float(special.jv(nu, hi))
-    # bisect to a tight bracket, then Newton
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
+    # halving a float bracket ends at two adjacent floats
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = float(special.jv(nu, mid))
         if f_mid > 0:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    z = 0.5 * (lo + hi)
-    for _ in range(8):
-        f = float(special.jv(nu, z))
-        df = bessel_j_prime(nu, z)
-        step = f / df
-        z_new = z - step
-        if not lo - 1e-9 <= z_new <= hi + 1e-9:
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) <= 1e-15 * z:
-            z = z_new
-            break
-        z = z_new
-    residual = abs(float(special.jv(nu, z)))
-    if residual > 1e-10:
-        raise NumericalFailureError(
-            f"zero refinement stalled for nu={nu}", residual=residual, estimate=z
-        )
+    z = hi if abs(f_hi) < abs(f_lo) else lo
     enclosure = qw_enclosure(nu) if nu > 0.5 else None
-    return BesselZero(nu=float(nu), j=float(z), enclosure=enclosure)
+    return BesselZero(nu=float(nu), j=z, enclosure=enclosure)
 
 
 def flat_ball_sc(n: int, r: float) -> float:

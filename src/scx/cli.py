@@ -15,10 +15,12 @@ Exit codes: 0 success, 2 parse/parameter error, 3 numerical failure,
 
 Each command imports the modules it needs inside its own branch, so every
 closed form loads no scipy module (flat balls take j_nu from
-``closed_forms.first_bessel_zero``, which uses only ``math``), and an
-eigensolve and ``table`` load only ``scipy.linalg`` (a hyperbolic ball's
-c(r) window takes j_nu from the same ``math`` route).  Only ``verify``
-loads ``scipy.special``, for the independent j_nu of ``bessel.first_zero``.
+``closed_forms.first_bessel_zero``, which uses only ``math``).  An
+eigensolve, ``table`` and ``--method variational`` load only the compiled
+``scipy.linalg._flapack`` and ``_fblas``, from their files, and not the
+``scipy.linalg`` package (see ``_tridiag``); a hyperbolic ball's c(r)
+window takes j_nu from the same ``math`` route.  Only ``verify`` loads
+``scipy.special``, for the independent j_nu of ``bessel.first_zero``.
 Every method refuses a ``--tol`` that is not finite and positive and a
 ``--grid`` below MIN_GRID, whether or not it reads them.
 

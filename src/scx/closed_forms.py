@@ -28,6 +28,15 @@ _AIRY_ZERO = 2.338107410459767
 _ENCLOSED_ORDER = 2e11
 
 
+def qu_wong_bounds(nu: float) -> tuple[float, float]:
+    """The Qu-Wong bounds nu + a nu^(1/3) < j_nu < nu + a nu^(1/3) + b nu^(-1/3)
+    for nu > 0, a = -a_1 2^(-1/3), b = (3/20) a_1^2 2^(1/3) (Trans. AMS 351,
+    1999); the upper one is the three-term asymptotic expansion."""
+    cbrt = nu ** (1.0 / 3.0)
+    lower = nu + _AIRY_ZERO * cbrt / 2.0 ** (1.0 / 3.0)
+    return lower, lower + 0.15 * _AIRY_ZERO**2 * 2.0 ** (1.0 / 3.0) / cbrt
+
+
 def _count_below(b2: list[float], x: float) -> int:
     """How many eigenvalues of the zero-diagonal symmetric tridiagonal matrix
     with squared off-diagonal ``b2`` lie below x > 0 (Sturm count of the LDL^T
@@ -73,17 +82,13 @@ def first_bessel_zero(nu: float) -> float:
     at size to one ulp; the one at 2 size must lie within 1e-13 relative of
     it, or NumericalFailureError is raised, and is bisected to one ulp in turn.
 
-    From nu = 2e11 on, the Qu-Wong bounds nu + a nu^(1/3) < j_nu <
-    nu + a nu^(1/3) + b nu^(-1/3), a = -a_1 2^(-1/3), b = (3/20) a_1^2
-    2^(1/3) (Trans. AMS 351, 1999), are within 2^-50 relative of each other,
-    and the upper one, the three-term asymptotic expansion, is returned.
+    From nu = 2e11 on, the Qu-Wong bounds (qu_wong_bounds) are within 2^-50
+    relative of each other, and the upper one is returned.
     """
     if not -0.5 <= nu < math.inf:
         raise InvalidParameterError(f"order must be finite and >= -1/2, got nu={nu}")
     if nu >= _ENCLOSED_ORDER:
-        cbrt = nu ** (1.0 / 3.0)
-        return (nu + _AIRY_ZERO * cbrt / 2.0 ** (1.0 / 3.0)
-                + 0.15 * _AIRY_ZERO**2 * 2.0 ** (1.0 / 3.0) / cbrt)
+        return qu_wong_bounds(nu)[1]
     size = int(12.0 * max(nu, 0.0) ** (1.0 / 3.0)) + 30
     b2 = [0.25 / ((nu + k) * (nu + k + 1)) for k in range(1, 2 * size)]
     # Gershgorin: no eigenvalue exceeds the largest row sum b_1 + b_2

@@ -190,12 +190,15 @@ def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
     lF = np.asarray(prof.log_density(faces), dtype=float)
     lM = _cell_log_masses(prof, m, h)
     diag = np.empty(m)
-    diag[0] = np.exp(lF[0] - lM[0]) / h
-    diag[1:] = (np.exp(lF[:-1] - lM[1:]) + np.exp(lF[1:] - lM[1:])) / h
-    diag[-1] += np.exp(lF[-1] - lM[-1]) / h  # Dirichlet face at h/2: flux 2A(R)/h
-    with np.errstate(over="ignore"):  # the solver refuses a non-finite entry
+    # the ratios overflow on very high-dimensional balls, and an overflowing
+    # ratio plus an overflowing -beta*sigma is nan; the solver refuses a
+    # non-finite entry with a NumericalFailureError
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag[0] = np.exp(lF[0] - lM[0]) / h
+        diag[1:] = (np.exp(lF[:-1] - lM[1:]) + np.exp(lF[1:] - lM[1:])) / h
+        diag[-1] += np.exp(lF[-1] - lM[-1]) / h  # Dirichlet face at h/2: flux 2A(R)/h
         diag += beta * grid.sigma
-    off = -np.exp(lF[:-1] - 0.5 * (lM[:-1] + lM[1:])) / h
+        off = -np.exp(lF[:-1] - 0.5 * (lM[:-1] + lM[1:])) / h
     return DiscreteOperator(grid, diag, off, float(beta), lM)
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from scx.bessel import (
-    _scan_limit,
     bessel_j,
     first_zero,
     flat_ball_sc,
     qw_enclosure,
+    zero_bracket,
 )
 from scx import closed_forms
 from scx.closed_forms import closed_form, first_bessel_zero
@@ -136,17 +136,41 @@ class TestFirstZero:
         assert abs(bessel_j(nu, z.j)) < 1e-10
         assert bessel_j(nu, z.j + 0.05) < 0
 
-    @pytest.mark.parametrize("nu", [1.0, 10.0, 160.0, 299.0, 1e4, 1e6])
-    def test_scan_limit_above_qu_wong_bound(self, nu):
-        upper = nu + 1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3)
-        assert _scan_limit(nu) > upper
+    @pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 1e-3, 0.02, 0.25, 0.5, 1.0, 10.0,
+                                    160.0, 299.0, 1e4, 1e6])
+    def test_bracket_holds_the_first_zero_only(self, nu):
+        lo, hi = zero_bracket(nu)
+        assert lo < first_bessel_zero(nu) < hi
+        # one sign change across the bracket, so bisection finds j_nu
+        xs = np.linspace(lo, hi, 4001)
+        signs = np.sign(bessel_j(nu, xs))
+        assert signs[0] == 1 and signs[-1] == -1
+        assert np.count_nonzero(np.diff(signs)) == 1
 
-    def test_scan_limit_never_below_old_limit(self):
-        # never below 200, so no order resolvable within 200 is refused
-        nus = np.arange(-0.5, 400.0, 0.25)
-        limits = np.array([_scan_limit(float(v)) for v in nus])
-        assert np.all(limits >= 200.0)
-        assert np.all(limits[nus < 160] == 200.0)
+    def test_bracket_contains_the_zero_at_every_order(self):
+        for nu in np.arange(-0.5, 400.0, 0.25):
+            lo, hi = zero_bracket(float(nu))
+            assert lo < first_bessel_zero(float(nu)) < hi, nu
+
+    @pytest.mark.parametrize("nu", [1e10, 1e12, 1e14, 1e15])
+    def test_orders_where_the_bracket_is_ulps_wide(self, nu):
+        # the rounded bounds can lie past the zero of special.jv; the widened
+        # bracket still holds it
+        j = first_zero(nu).j
+        lo, hi = zero_bracket(nu)
+        assert lo - 8 * math.ulp(lo) <= j <= hi + 8 * math.ulp(hi)
+        assert bessel_j(nu, j - 8 * math.ulp(j)) > 0 > bessel_j(nu, j + 8 * math.ulp(j))
+
+    @pytest.mark.parametrize("nu", [1e16, 1e20, 1e300])
+    def test_huge_orders_fail_instead_of_hanging(self, nu):
+        # special.jv has no sign change near j_nu here
+        with pytest.raises(NumericalFailureError, match="no sign change"):
+            first_zero(nu)
+
+    @pytest.mark.parametrize("nu", [-0.75, math.nan, math.inf])
+    def test_domain(self, nu):
+        with pytest.raises(InvalidParameterError, match="order"):
+            first_zero(nu)
 
     def test_enclosure_attached_above_half(self):
         assert first_zero(0.25).enclosure is None

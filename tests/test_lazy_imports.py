@@ -1,7 +1,9 @@
 """Which modules each entry point loads, read from sys.modules in a fresh
 interpreter: ``import scx`` loads no numpy or scipy, no closed form loads
-scipy, an eigensolve and ``table`` load only ``scipy.linalg``, and no timed
-pass imports a module of its own.
+scipy, an eigensolve, ``table`` and ``--method variational`` load only the
+compiled ``scipy.linalg._flapack`` and ``_fblas`` (not the ``scipy.linalg``
+package, nor any ``scipy._lib`` module), and no timed pass imports a module
+of its own.
 """
 
 import json
@@ -21,6 +23,8 @@ print(json.dumps({
                      if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
                     - {"version"}),
     "numpy": "numpy" in sys.modules,
+    "heavy": sorted(m for m in sys.modules
+                    if m == "scipy.linalg" or m.startswith("scipy._lib")),
 }))
 """
 
@@ -65,10 +69,11 @@ def test_flat_ball_closed_form_loads_no_scipy(spec):
     assert "scx.spectral" not in got["scx"] and "scx.bessel" not in got["scx"]
 
 
-@pytest.mark.parametrize("spec", ["interval:0,1", "ball:n=4,r=3", "cap:n=2,angle=1"])
+@pytest.mark.parametrize("spec", ["interval:0,1", "ball:n=4,r=3", "cap:n=2,angle=1",
+                                  "product:(interval:0,1)x(ball:n=3,r=2)"])
 def test_eigensolve_loads_scipy_linalg_only(spec):
     got = _after_cli("compute", spec, "--grid", "400")
-    assert got["scipy"] == ["linalg"]
+    assert got["scipy"] == ["linalg"] and got["heavy"] == []
     for name in ("scx.bessel", "scx.verify", "scx.variational", "scx.warped",
                  "scx.clifford", "scx.comparison"):
         assert name not in got["scx"]
@@ -77,14 +82,39 @@ def test_eigensolve_loads_scipy_linalg_only(spec):
 def test_hyperbolic_eigensolve_loads_scipy_linalg_only():
     # its c(r) window takes j_nu from the math-only route
     got = _after_cli("compute", "hypball:n=4,r=3", "--grid", "400")
-    assert got["scipy"] == ["linalg"]
+    assert got["scipy"] == ["linalg"] and got["heavy"] == []
     assert "scx.bessel" not in got["scx"]
 
 
 def test_table_loads_scipy_linalg_only():
     got = _after_cli("table", "--grid", "400")
-    assert got["scipy"] == ["linalg"]
+    assert got["scipy"] == ["linalg"] and got["heavy"] == []
     assert "scx.bessel" not in got["scx"]
+
+
+def test_variational_loads_scipy_linalg_only():
+    got = _after_cli("compute", "hemisphere:n=3", "--method", "variational", "--seed", "4")
+    assert got["scipy"] == ["linalg"] and got["heavy"] == []
+    assert "scx.variational" in got["scx"]
+
+
+def test_later_scipy_linalg_import_reuses_the_bound_routines():
+    got = _loaded("from scx import _tridiag\n"
+                  "import scipy.linalg\n"
+                  "from scipy.linalg import blas, lapack\n"
+                  "assert lapack.dptsv is _tridiag.dptsv, 'dptsv'\n"
+                  "assert lapack.dpttrf is _tridiag.dpttrf, 'dpttrf'\n"
+                  "assert blas.ddot is _tridiag.ddot, 'ddot'\n"
+                  "assert blas.dnrm2 is _tridiag.dnrm2, 'dnrm2'\n")
+    assert "scipy.linalg" in got["heavy"]
+
+
+def test_scipy_linalg_imported_first_supplies_the_routines():
+    _loaded("import scipy.linalg\n"
+            "from scipy.linalg import blas, lapack\n"
+            "from scx import _tridiag\n"
+            "assert lapack.dptsv is _tridiag.dptsv and lapack.dpttrf is _tridiag.dpttrf\n"
+            "assert blas.ddot is _tridiag.ddot and blas.dnrm2 is _tridiag.dnrm2\n")
 
 
 def test_verify_loads_what_the_suites_import():

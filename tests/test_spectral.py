@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,19 @@ class TestSolveParameters:
         hyp = make_hyperbolic_ball(3, 2)
         with pytest.raises(NumericalFailureError, match="product eigenvalue overflows"):
             lambda1_beta(product([hyp, hyp]), beta, 64)
+
+    @pytest.mark.parametrize("man, beta", [
+        (make_space_form_ball(1_000_000, 0.0, 1.0), 0.25),
+        (make_hyperbolic_ball(10**8, 1.0), 0.25),
+        (make_hyperbolic_ball(10**8, 1.0), 1e300),  # inf + (-inf) on the diagonal
+    ], ids=["flat", "hyperbolic", "hyperbolic-huge-beta"])
+    def test_overflowing_operator_entries_fail_without_warnings(self, man, beta):
+        # the face/mass ratios overflow; the solver's check reports it, and no
+        # RuntimeWarning escapes on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="non-finite diag"):
+                lambda1_beta(man, beta, 400)
 
     def test_negative_curvature_ball_at_the_radius_cap(self):
         # the kappa < 0 ball is the hyperbolic ball of radius sqrt(-kappa) r,

@@ -1,6 +1,10 @@
 """The inverse-iteration tridiagonal eigensolve and the solve cache."""
 
+import importlib.machinery
+import importlib.util
 import math
+import subprocess
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -422,3 +426,54 @@ class TestSolveCache:
         m = 96
         got = spectral.lambda1_beta(man, beta, m).lambda1
         assert got == spectral.first_eigenpair(spectral.discretize(man, beta, 2 * m)).lambda1
+
+
+# hides the two compiled files from the direct load, as an unknown install
+# layout would; the public scipy.linalg imports still find them by full name
+_HIDE_FILES = """
+import importlib.machinery
+find = importlib.machinery.PathFinder.find_spec
+def hide(name, path=None, target=None):
+    return None if name in ("_flapack", "_fblas") else find(name, path, target)
+importlib.machinery.PathFinder.find_spec = hide
+"""
+
+
+class TestRoutineBinding:
+    def test_routines_come_from_the_compiled_modules(self):
+        assert _tridiag.dptsv is sys.modules["scipy.linalg._flapack"].dptsv
+        assert _tridiag.dpttrf is sys.modules["scipy.linalg._flapack"].dpttrf
+        assert _tridiag.ddot is sys.modules["scipy.linalg._fblas"].ddot
+        assert _tridiag.dnrm2 is sys.modules["scipy.linalg._fblas"].dnrm2
+
+    def test_missing_file_is_none(self):
+        assert _tridiag._scipy_linalg_extension("_scx_no_such_module") is None
+        assert "scipy.linalg._scx_no_such_module" not in sys.modules
+
+    def test_load_error_leaves_nothing_registered(self, tmp_path, monkeypatch):
+        (tmp_path / "linalg").mkdir()
+        (tmp_path / "linalg" / "_scx_broken.py").write_text("raise ImportError('boom')\n")
+        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        with pytest.raises(ImportError, match="boom"):
+            _tridiag._scipy_linalg_extension("_scx_broken")
+        assert "scipy.linalg._scx_broken" not in sys.modules
+
+    def test_missing_files_fall_back_to_public_modules(self):
+        diag, off = _stieltjes(np.random.default_rng(7), 40)
+        code = _HIDE_FILES + (
+            "import sys\n"
+            "import numpy as np\n"
+            "from scx import _tridiag\n"
+            "assert 'scipy.linalg' in sys.modules  # the fallback ran\n"
+            "from scipy.linalg import blas, lapack\n"
+            "assert _tridiag.dptsv is lapack.dptsv and _tridiag.dpttrf is lapack.dpttrf\n"
+            "assert _tridiag.ddot is blas.ddot and _tridiag.dnrm2 is blas.dnrm2\n"
+            f"diag, off = np.array({diag.tolist()!r}), np.array({off.tolist()!r})\n"
+            "lam = _tridiag.smallest_eigenpair(diag, off)[0]\n"
+            "print(lam.hex(), _tridiag._count(diag, off, -np.inf, lam + 1e-9))\n")
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                             capture_output=True, text=True, check=True).stdout.split()
+        lam = smallest_eigenpair(diag, off)[0]
+        assert out == [lam.hex(), "1"]
