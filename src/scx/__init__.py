@@ -32,7 +32,7 @@ _EXPORTS = {
                        "hyperbolic_sc", "make_comparison_case", "transplant_check"),
         "errors": ("InvalidKindError", "InvalidParameterError",
                    "NumericalFailureError", "SpecSyntaxError"),
-        "geometry": ("Kind", "ModelManifold", "RadialProfile", "make_box",
+        "geometry": ("Kind", "ModelManifold", "RadialProfile", "SpaceForm", "make_box",
                      "make_hemisphere", "make_hyperbolic_ball", "make_interval",
                      "make_radial_custom", "make_space_form_ball",
                      "make_spherical_cap", "mean_curvature_of_ball", "product",

@@ -7,9 +7,9 @@ as a tridiagonal eigenvalue with ``math`` alone; the closed forms and the
 hyperbolic c(r) window use that route, so they load no scipy.  This module
 is the other route, and it loads ``scipy.special``: first_zero bisects
 ``special.jv`` on the Qu-Wong bracket to two adjacent floats, and
-``verify bessel`` and the acceptance tests check it.  The enclosure formula
-gives a priori two-sided bounds for nu > 1/2.  flat_ball_sc reads
-``closed_forms.closed_form``, which holds every closed form.
+``verify bessel`` and the acceptance tests check it.  Its enclosure is the
+bracket bisected; qw_enclosure is the paper's formula for nu > 1/2.
+flat_ball_sc reads ``closed_forms.closed_form``, which holds every closed form.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _WIDEN_ULPS = 4
 class BesselZero:
     nu: float
     j: float
-    enclosure: tuple[float, float] | None = None
+    enclosure: tuple[float, float]  # the bracket bisected: lo < j < hi
 
 
 def bessel_j(nu: float, x) -> float | np.ndarray:
@@ -90,13 +90,15 @@ def first_zero(nu: float) -> BesselZero:
     The bracket is first widened by _WIDEN_ULPS at each end, since from
     nu ~ 1e11 on it is only a few ulps wide and its rounded ends can lie on
     the wrong side of the zero of ``special.jv``.  The float of the final
-    pair with the smaller |J_nu| is returned.
+    pair with the smaller |J_nu| is returned, with the widened bracket as
+    its enclosure.
     """
     if not -0.5 <= nu < math.inf:
         raise InvalidParameterError(f"order must be finite and >= -1/2, got nu={nu}")
     lo, hi = zero_bracket(nu)
     lo -= _WIDEN_ULPS * math.ulp(lo)
     hi += _WIDEN_ULPS * math.ulp(hi)
+    enclosure = (lo, hi)
     f_lo, f_hi = float(special.jv(nu, lo)), float(special.jv(nu, hi))
     if not f_lo > 0 > f_hi:
         raise NumericalFailureError(
@@ -111,7 +113,6 @@ def first_zero(nu: float) -> BesselZero:
         else:
             hi, f_hi = mid, f_mid
     z = hi if abs(f_hi) < abs(f_lo) else lo
-    enclosure = qw_enclosure(nu) if nu > 0.5 else None
     return BesselZero(nu=float(nu), j=z, enclosure=enclosure)
 
 

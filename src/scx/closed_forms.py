@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParameterError, NumericalFailureError
-from .geometry import Kind, ModelManifold
+from .geometry import Kind, ModelManifold, SpaceForm
 
 # the truncations at size and 2 size must agree to this relative difference
 _TRUNCATION_AGREEMENT = 1e-13
@@ -115,7 +115,7 @@ def closed_form(man: ModelManifold, beta: float = 0.25) -> float:
         a, b = man.params
         return math.pi**2 / (b - a) ** 2
     prof = man.profile
-    if prof is not None and prof.kappa is not None:
+    if isinstance(prof, SpaceForm):
         n, kappa, r = man.dim, prof.kappa, prof.r_max
         if kappa == 0:
             return first_bessel_zero(n / 2.0 - 1.0) ** 2 / r**2

@@ -37,7 +37,6 @@ from .closed_forms import first_bessel_zero
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import (
     ModelManifold,
-    _second_difference,
     make_hyperbolic_ball,
     make_space_form_ball,
     radius_from_mean_curvature,
@@ -64,14 +63,6 @@ class ComparisonCase:
         return self.manifold.dim
 
 
-def _radial_ricci(profile, d: np.ndarray) -> np.ndarray:
-    """-sn''/sn on the sample nodes (the radial sectional curvature)."""
-    if profile.kappa is not None:
-        return np.full_like(d, profile.kappa)
-    sn = profile.warp(d)
-    return -_second_difference(profile.warp, d, sn, 1e-5 * profile.r_max) / sn
-
-
 def make_comparison_case(
     man: ModelManifold, kappa: float, mu: float, m_check: int = 512
 ) -> ComparisonCase:
@@ -82,7 +73,7 @@ def make_comparison_case(
     n = man.dim
     grid = operator_grid(man, m_check)
 
-    ric = _radial_ricci(prof, grid.nodes)
+    ric = prof.radial_ricci(grid.nodes)
     bad = ric < kappa - _ADMISSIBILITY_TOL * max(1.0, abs(kappa))
     if np.any(bad):
         node = grid.nodes[np.argmax(bad)]
@@ -90,9 +81,8 @@ def make_comparison_case(
             f"radial Ricci bound violated at node d={node:g}: "
             f"-sn''/sn = {ric[np.argmax(bad)]:g} < kappa = {kappa:g}"
         )
-    sig = np.asarray(prof.scalar_curv(grid.nodes), dtype=float)
     floor = n * (n - 1) * kappa
-    bad = sig < floor - _ADMISSIBILITY_TOL * max(1.0, abs(floor))
+    bad = grid.sigma < floor - _ADMISSIBILITY_TOL * max(1.0, abs(floor))
     if np.any(bad):
         node = grid.nodes[np.argmax(bad)]
         raise InvalidParameterError(
@@ -260,8 +250,7 @@ def admissible_catalog(kappa: float, count: int, seed: int, dims=(2, 3, 4)):
             r_x = rng.uniform(0.15, 0.85) * math.pi / math.sqrt(kp)
         else:
             r_x = rng.uniform(0.2, 2.5)
-        man = (make_space_form_ball(n, kp, r_x) if kp != 0
-               else make_space_form_ball(n, 0.0, r_x))
+        man = make_space_form_ball(n, kp, r_x)
         mu_x = man.profile.mean_curvature(r_x)
         mu = mu_x - rng.uniform(0.0, 0.5) * abs(mu_x)
         if kappa == 0 and mu <= 1e-6:

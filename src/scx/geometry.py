@@ -7,13 +7,15 @@ factor, the induced volume density A(d) = sn(d)^(n-1), and the scalar
 curvature sigma(d).  The unit-sphere area constant is omitted from A; it
 cancels in every Rayleigh quotient downstream.
 
-Space forms of curvature kappa use
+Balls, caps and hyperbolic balls are geodesic balls in space forms: their
+SpaceForm profile computes from (n, kappa, r) alone, with
 
     sn(d) = sin(sqrt(kappa) d)/sqrt(kappa)    kappa > 0
     sn(d) = d                                 kappa = 0
     sn(d) = sinh(sqrt(-kappa) d)/sqrt(-kappa) kappa < 0
 
-with sigma == n(n-1) kappa.  Mean curvature of a geodesic sphere uses the
+and sigma == n(n-1) kappa.  A RadialProfile holds a custom warp given by
+callables.  Mean curvature of a geodesic sphere uses the
 sum-of-principal-curvatures convention, mu = (n-1) sn'(r)/sn(r), so the
 boundary of the unit Euclidean ball has mean curvature n-1.
 """
@@ -49,53 +51,85 @@ class Kind(str, enum.Enum):
     PRODUCT = "product"
 
 
-def _sinh_drift(dim: int, rk: float, d):
-    """(dim-1) sn'/sn for the warp sn = sinh(rk d)/rk, as (dim-1) rk coth(rk d):
-    finite wherever d > 0, although sinh overflows above rk d ~ 710."""
-    return (dim - 1) * rk / np.tanh(rk * np.asarray(d, float))
+@dataclass(frozen=True)
+class SpaceForm:
+    """Profile of the geodesic r_max-ball in the simply connected space of
+    curvature kappa, computed from (dim, kappa, r_max) alone."""
+
+    dim: int
+    kappa: float
+    r_max: float
+
+    def warp(self, d):
+        if self.kappa == 0:
+            return np.asarray(d, float)
+        rk = math.sqrt(abs(self.kappa))
+        return (np.sin if self.kappa > 0 else np.sinh)(rk * np.asarray(d, float)) / rk
+
+    def warp_prime(self, d):
+        if self.kappa == 0:
+            return np.ones_like(np.asarray(d, float))
+        rk = math.sqrt(abs(self.kappa))
+        return (np.cos if self.kappa > 0 else np.cosh)(rk * np.asarray(d, float))
+
+    def scalar_curv(self, d):
+        sigma = float(self.dim * (self.dim - 1) * self.kappa)
+        return np.full_like(np.asarray(d, float), sigma)
+
+    def log_density(self, d):
+        if self.kappa >= 0:
+            return (self.dim - 1) * np.log(self.warp(d))
+        # log(sinh(x)/rk) = x + log(1 - e^(-2x)) - log(2 rk), finite for x > 0
+        rk = math.sqrt(-self.kappa)
+        x = rk * np.asarray(d, float)
+        return (self.dim - 1) * (x + np.log(-np.expm1(-2 * x)) - math.log(2 * rk))
+
+    def drift(self, d):
+        """A'(d)/A(d) = (dim-1) sn'/sn, the first-order coefficient of the
+        radial Laplacian; for kappa < 0 (dim-1) rk coth(rk d), which stays
+        finite where sinh overflows."""
+        if self.kappa >= 0:
+            return (self.dim - 1) * self.warp_prime(d) / self.warp(d)
+        rk = math.sqrt(-self.kappa)
+        return (self.dim - 1) * rk / np.tanh(rk * np.asarray(d, float))
+
+    def radial_ricci(self, d):
+        """-sn''/sn, the radial sectional curvature: kappa everywhere."""
+        return np.full_like(np.asarray(d, float), self.kappa)
+
+    def mean_curvature(self, r: float) -> float:
+        """Sum of principal curvatures of the geodesic sphere of radius r."""
+        return float(self.drift(r))
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """One-dimensional reduction of a rotationally symmetric manifold."""
+    """Custom warp sn given by callables: the one-dimensional reduction of a
+    rotationally symmetric manifold that is not a space form."""
 
     dim: int
-    kappa: float | None  # None for custom (non-space-form) profiles
     warp: Callable = field(compare=False)
     warp_prime: Callable = field(compare=False)
     scalar_curv: Callable = field(compare=False)
     r_max: float = 1.0
 
-    @property
-    def _sinh_rate(self) -> float | None:
-        """sqrt(-kappa) on space forms of negative curvature, whose warp
-        sinh(sqrt(-kappa) d) overflows above sqrt(-kappa) d ~ 710; else None."""
-        if self.kappa is not None and self.kappa < 0:
-            return math.sqrt(-self.kappa)
-        return None
-
     def log_density(self, d):
-        rk = self._sinh_rate
-        if rk is None:
-            return (self.dim - 1) * np.log(self.warp(d))
-        # log(sinh(x)/rk) = x + log(1 - e^(-2x)) - log(2 rk), finite for x > 0
-        x = rk * np.asarray(d, float)
-        return (self.dim - 1) * (x + np.log(-np.expm1(-2 * x)) - math.log(2 * rk))
+        return (self.dim - 1) * np.log(self.warp(d))
 
     def drift(self, d):
         """A'(d)/A(d), the first-order coefficient of the radial Laplacian."""
-        rk = self._sinh_rate
-        if rk is None:
-            return (self.dim - 1) * self.warp_prime(d) / self.warp(d)
-        return _sinh_drift(self.dim, rk, d)
+        return (self.dim - 1) * self.warp_prime(d) / self.warp(d)
+
+    def radial_ricci(self, d):
+        """-sn''/sn by a central second difference."""
+        sn = self.warp(d)
+        return -_second_difference(self.warp, d, sn, 1e-5 * self.r_max) / sn
 
     def mean_curvature(self, r: float) -> float:
         """Sum of principal curvatures of the geodesic sphere of radius r."""
         return float(self.drift(r))
 
     def validate(self) -> None:
-        if self.dim < 1:
-            raise InvalidParameterError(f"dimension must be >= 1, got {self.dim}")
         if not MIN_SIZE <= self.r_max <= MAX_RADIUS:
             raise InvalidParameterError(
                 f"r_max must lie in [{MIN_SIZE:g}, {MAX_RADIUS:g}], got {self.r_max}"
@@ -107,8 +141,6 @@ class RadialProfile:
                 "ball-type profile requires sn(0)=0 and sn'(0)=1; "
                 f"got sn({eps:g})={w0:g}"
             )
-        if self._sinh_rate is not None:
-            return  # sinh is positive on (0, r_max]; sampling it could overflow
         d = np.linspace(self.r_max / 64, self.r_max * (1 - 1e-9), 64)
         w = np.asarray(self.warp(d), dtype=float)
         if not np.all(w > 0):
@@ -123,7 +155,7 @@ class ModelManifold:
     kind: Kind
     dim: int
     params: tuple
-    profile: RadialProfile | None = field(default=None, compare=False, repr=False)
+    profile: SpaceForm | RadialProfile | None = field(default=None, compare=False, repr=False)
     factors: tuple["ModelManifold", ...] = ()
 
     @property
@@ -150,16 +182,12 @@ class ModelManifold:
             raise InvalidParameterError(
                 f"sub-radius {r} outside (0, {self.profile.r_max}]"
             )
-        if self.kind == Kind.SPACE_FORM_BALL:
-            return make_space_form_ball(self.dim, self.params[1], r)
-        if self.kind == Kind.SPHERICAL_CAP:
-            return make_spherical_cap(self.dim, r)
-        if self.kind == Kind.HYPERBOLIC_BALL:
-            return make_hyperbolic_ball(self.dim, r)
+        if isinstance(self.profile, SpaceForm):  # r is the last of its params
+            prof = _space_form(self.dim, self.profile.kappa, r, min_dim=1)
+            return replace(self, params=self.params[:-1] + (prof.r_max,), profile=prof)
         prof = replace(self.profile, r_max=float(r))
         prof.validate()
-        return ModelManifold(Kind.RADIAL_CUSTOM, self.dim,
-                             (self.dim, float(r)) + self.params[2:], prof)
+        return replace(self, params=(self.dim, prof.r_max) + self.params[2:], profile=prof)
 
     def describe(self) -> str:
         if self.kind == Kind.INTERVAL:
@@ -188,29 +216,31 @@ def _dimension(n) -> int:
     raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
 
 
-def _space_form_warp(kappa: float):
-    if kappa > 0:
-        rk = math.sqrt(kappa)
-        return (lambda d: np.sin(rk * np.asarray(d, float)) / rk,
-                lambda d: np.cos(rk * np.asarray(d, float)))
-    if kappa < 0:
-        rk = math.sqrt(-kappa)
-        return (lambda d: np.sinh(rk * np.asarray(d, float)) / rk,
-                lambda d: np.cosh(rk * np.asarray(d, float)))
-    return (lambda d: np.asarray(d, float),
-            lambda d: np.ones_like(np.asarray(d, float)))
-
-
-def space_form_profile(n: int, kappa: float, r: float) -> RadialProfile:
-    warp, warp_prime = _space_form_warp(kappa)
-    sigma = float(n * (n - 1) * kappa)
-    prof = RadialProfile(
-        dim=n, kappa=float(kappa), warp=warp, warp_prime=warp_prime,
-        scalar_curv=lambda d, _s=sigma: np.full_like(np.asarray(d, float), _s),
-        r_max=float(r),
-    )
-    prof.validate()
-    return prof
+def _space_form(n, kappa: float, r: float, min_dim: int = 2) -> SpaceForm:
+    """The profile of the geodesic r-ball in the simply connected n-space of
+    curvature kappa; refused unless that ball exists and r lies in
+    [MIN_SIZE, MAX_RADIUS]."""
+    n = _dimension(n)
+    if n < min_dim:
+        raise InvalidParameterError(f"dimension must be >= {min_dim}, got {n}")
+    if not math.isfinite(kappa):
+        raise InvalidParameterError(f"curvature must be finite, got {kappa}")
+    # a kappa < 0 ball is the hyperbolic ball of radius sqrt(-kappa) r, rescaled
+    if kappa < 0 and math.sqrt(-kappa) * r > MAX_RADIUS:
+        raise InvalidParameterError(
+            f"radius {r:g} out of range for kappa={kappa:g}: "
+            f"need sqrt(-kappa) r = {math.sqrt(-kappa) * r:g} <= {MAX_RADIUS:g}"
+        )
+    if kappa > 0 and r >= math.pi / math.sqrt(kappa):
+        raise InvalidParameterError(
+            f"radius {r:g} out of range for kappa={kappa:g}: "
+            f"need r < pi/sqrt(kappa) = {math.pi / math.sqrt(kappa):g}"
+        )
+    if not MIN_SIZE <= r <= MAX_RADIUS:
+        raise InvalidParameterError(
+            f"radius must lie in [{MIN_SIZE:g}, {MAX_RADIUS:g}], got {r}"
+        )
+    return SpaceForm(n, float(kappa), float(r))
 
 
 def make_interval(a: float, b: float) -> ModelManifold:
@@ -227,35 +257,15 @@ def make_interval(a: float, b: float) -> ModelManifold:
 
 def make_space_form_ball(n: int, kappa: float, r: float) -> ModelManifold:
     """Geodesic r-ball in the complete simply connected space of curvature kappa."""
-    n = _dimension(n)
-    if n < 2:
-        raise InvalidParameterError(f"ball dimension must be >= 2, got {n}")
-    if r <= 0:
-        raise InvalidParameterError(f"ball radius must be positive, got {r}")
-    if not math.isfinite(kappa):
-        raise InvalidParameterError(f"curvature must be finite, got {kappa}")
-    # a kappa < 0 ball is the hyperbolic ball of radius sqrt(-kappa) r, rescaled
-    if kappa < 0 and math.sqrt(-kappa) * r > MAX_RADIUS:
-        raise InvalidParameterError(
-            f"radius {r:g} out of range for kappa={kappa:g}: "
-            f"need sqrt(-kappa) r = {math.sqrt(-kappa) * r:g} <= {MAX_RADIUS:g}"
-        )
-    if kappa > 0 and r >= math.pi / math.sqrt(kappa):
-        raise InvalidParameterError(
-            f"radius {r:g} out of range for kappa={kappa:g}: "
-            f"need r < pi/sqrt(kappa) = {math.pi / math.sqrt(kappa):g}"
-        )
-    prof = space_form_profile(n, kappa, r)
-    return ModelManifold(Kind.SPACE_FORM_BALL, n, (n, float(kappa), float(r)), prof)
+    prof = _space_form(n, kappa, r)
+    return ModelManifold(Kind.SPACE_FORM_BALL, prof.dim,
+                         (prof.dim, prof.kappa, prof.r_max), prof)
 
 
 def make_spherical_cap(n: int, angle: float = math.pi / 2) -> ModelManifold:
     """Cap of opening angle `angle` in the unit n-sphere; pi/2 is the hemisphere."""
-    n = _dimension(n)
-    if not 0 < angle < math.pi:
-        raise InvalidParameterError(f"cap angle must lie in (0, pi), got {angle}")
-    prof = space_form_profile(n, 1.0, angle)
-    return ModelManifold(Kind.SPHERICAL_CAP, n, (n, float(angle)), prof)
+    prof = _space_form(n, 1.0, angle, min_dim=1)
+    return ModelManifold(Kind.SPHERICAL_CAP, prof.dim, (prof.dim, prof.r_max), prof)
 
 
 def make_hemisphere(n: int) -> ModelManifold:
@@ -264,13 +274,8 @@ def make_hemisphere(n: int) -> ModelManifold:
 
 def make_hyperbolic_ball(n: int, r: float) -> ModelManifold:
     """Geodesic r-ball in hyperbolic n-space of curvature -1."""
-    n = _dimension(n)
-    if n < 2:
-        raise InvalidParameterError(f"ball dimension must be >= 2, got {n}")
-    if r <= 0:
-        raise InvalidParameterError(f"ball radius must be positive, got {r}")
-    prof = space_form_profile(n, -1.0, r)
-    return ModelManifold(Kind.HYPERBOLIC_BALL, n, (n, float(r)), prof)
+    prof = _space_form(n, -1.0, r)
+    return ModelManifold(Kind.HYPERBOLIC_BALL, prof.dim, (prof.dim, prof.r_max), prof)
 
 
 def make_radial_custom(
@@ -303,7 +308,7 @@ def make_radial_custom(
             snpp = _second_difference(_w, d, sn, 1e-5 * _r)
             return (-2 * (n - 1) * snpp / sn
                     + (n - 1) * (n - 2) * (1 - snp**2) / sn**2)
-    prof = RadialProfile(dim=n, kappa=None, warp=warp, warp_prime=warp_prime,
+    prof = RadialProfile(dim=n, warp=warp, warp_prime=warp_prime,
                          scalar_curv=scalar_curv, r_max=float(r_max))
     prof.validate()
     token = next(_custom_counter)
@@ -343,13 +348,7 @@ def product(factors) -> ModelManifold:
 
 def mean_curvature_of_ball(n: int, kappa: float, r: float) -> float:
     """Boundary mean curvature (n-1) sn'(r)/sn(r) of the space-form r-ball."""
-    warp, warp_prime = _space_form_warp(kappa)
-    sn = float(warp(r)) if kappa > 0 else float(r)  # same sign as sinh(rk r)
-    if sn <= 0:
-        raise InvalidParameterError(f"no geodesic sphere of radius {r} for kappa={kappa}")
-    if kappa < 0:
-        return float(_sinh_drift(n, math.sqrt(-kappa), r))
-    return (n - 1) * float(warp_prime(r)) / sn
+    return make_space_form_ball(n, kappa, r).profile.mean_curvature(r)
 
 
 def radius_from_mean_curvature(n: int, kappa: float, mu: float) -> float:

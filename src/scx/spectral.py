@@ -50,7 +50,7 @@ import numpy as np
 from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID
 from ._tridiag import smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
-from .geometry import Kind, ModelManifold, RadialProfile, product
+from .geometry import Kind, ModelManifold, RadialProfile, SpaceForm, product
 
 # message of the NumericalFailureError raised when the two grids disagree
 CERTIFICATE_FAILED = "grid-doubling certificate failed"
@@ -68,7 +68,7 @@ class Grid:
     nodes: np.ndarray
     h: float
     sigma: np.ndarray   # scalar curvature samples
-    profile: RadialProfile | None = None  # None on intervals
+    profile: SpaceForm | RadialProfile | None = None  # None on intervals
 
     @property
     def size(self) -> int:

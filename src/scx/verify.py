@@ -69,9 +69,9 @@ def bessel_suite(seed: int = 0, grid: int | None = None):
 
     worst = math.inf
     for nu in (0.6, 1.0, 2.0, 3.0, 5.0, 10.0, 12.0):
-        z = bessel.first_zero(nu)
-        lo, hi = z.enclosure
-        worst = min(worst, z.j - lo, hi - z.j)
+        j = bessel.first_zero(nu).j
+        lo, hi = bessel.qw_enclosure(nu)
+        worst = min(worst, j - lo, hi - j)
     out.append(_check("bessel", "enclosure contains j_nu (nu in 0.6..12)",
                       worst > 0, worst, f"min margin {worst:.4f}"))
 

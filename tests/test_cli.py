@@ -380,6 +380,15 @@ class TestComputeCommand:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("spec", ["hemisphere:n=0", "cap:n=-2,angle=1"])
+    def test_cap_dimension_floor_exit_code(self, spec, capsys):
+        assert main(["compute", spec]) == 2
+        assert "dimension must be >= 1" in capsys.readouterr().err
+
+    def test_one_dimensional_cap_computes(self, capsys):
+        assert main(["compute", "cap:n=1,angle=1", "--grid", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["dim"] == 1
+
     def test_file_not_utf8_exit_code(self, tmp_path, capsys):
         path = tmp_path / "specs.bin"
         path.write_bytes(b"\xff\xfeinterval:0,1\n")

@@ -10,6 +10,7 @@ from scx.geometry import (
     MIN_SIZE,
     Kind,
     make_box,
+    make_hemisphere,
     make_hyperbolic_ball,
     make_interval,
     make_radial_custom,
@@ -156,6 +157,19 @@ class TestSpaceFormBall:
         with pytest.raises(InvalidParameterError):
             make_spherical_cap(2, 3.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: make_spherical_cap(0),
+        lambda: make_hemisphere(0),
+        lambda: make_spherical_cap(-2, 1.0),
+    ], ids=["cap-0", "hemisphere-0", "cap-minus-2"])
+    def test_cap_dimension_floor(self, make):
+        with pytest.raises(InvalidParameterError, match="dimension must be >= 1"):
+            make()
+
+    def test_one_dimensional_caps_accepted(self):
+        for man in (make_spherical_cap(1, 1.0), make_hemisphere(1)):
+            assert man.dim == 1 and man.kind == Kind.SPHERICAL_CAP
+
 
 class TestCustomProfile:
     def test_derived_scalar_curvature_matches_space_form(self):
@@ -199,6 +213,17 @@ class TestMeanCurvature:
         oracle = 0.5 * (lo + hi)
         assert radius_from_mean_curvature(3, -1.0, 4.0) == pytest.approx(oracle, abs=1e-9)
         assert oracle == pytest.approx(0.5493, abs=1e-4)
+
+    @pytest.mark.parametrize("n,kappa,r", [
+        (2, 1.0, 7.0),       # the unit sphere has no geodesic sphere of radius 7
+        (3, 1.0, math.pi),   # the antipode
+        (3, 0.0, math.nan),
+        (3, math.nan, 1.0),
+        (3, -1.0, 1e4),      # beyond MAX_RADIUS
+    ])
+    def test_refuses_what_the_constructors_refuse(self, n, kappa, r):
+        with pytest.raises(InvalidParameterError):
+            mean_curvature_of_ball(n, kappa, r)
 
     def test_inadmissible(self):
         with pytest.raises(InvalidParameterError):

@@ -15,6 +15,7 @@ from scx.errors import (
 )
 from scx.geometry import (
     RadialProfile,
+    SpaceForm,
     make_box,
     make_hyperbolic_ball,
     make_interval,
@@ -113,18 +114,18 @@ class TestDriftOnDemand:
     @pytest.fixture
     def drift_calls(self, monkeypatch):
         calls = []
-        inner = RadialProfile.drift
+        for cls in (SpaceForm, RadialProfile):
+            def spy(self, d, _inner=cls.drift):
+                calls.append(np.size(d))
+                return _inner(self, d)
 
-        def spy(self, d):
-            calls.append(np.size(d))
-            return inner(self, d)
-
-        monkeypatch.setattr(RadialProfile, "drift", spy)
+            monkeypatch.setattr(cls, "drift", spy)
         return calls
 
     def test_solve_path_never_evaluates_drift(self, drift_calls):
         for man in (make_space_form_ball(3, 0.0, 1.0), make_hyperbolic_ball(4, 2.0),
-                    make_spherical_cap(2, 1.0)):
+                    make_spherical_cap(2, 1.0),
+                    make_radial_custom(3, np.sin, 1.2, warp_prime=np.cos)):
             discretize(man, 0.25, 128)
             lambda1_beta(man, 0.25, 96)
         assert drift_calls == []
@@ -148,6 +149,10 @@ class TestDriftOnDemand:
         phi = theta(grid.nodes)
         lap = (warped._d2(phi, grid.h) + eager * warped._d1(phi, grid.h)) / phi
         assert np.array_equal(got, (grid.sigma - 4.0 * lap)[grid.eval_slice])
+
+        custom = operator_grid(make_radial_custom(3, np.sin, 1.2, warp_prime=np.cos), 64)
+        assert np.array_equal(custom.drift, 2 * np.cos(custom.nodes) / np.sin(custom.nodes))
+        assert drift_calls == [256, 256, 64]
 
     def test_interval_drift_is_zero(self, drift_calls):
         grid = operator_grid(make_interval(0.0, 2.0), 64)
