@@ -175,7 +175,7 @@ class TestFirstZero:
     def test_enclosure_holds_the_zero_at_every_order(self):
         # the enclosure is the bracket bisected; the paper's formula
         # (qw_enclosure) misses j_nu from nu ~ 14 on, e.g. at nu = 20
-        for nu in [*np.arange(-0.5, 300.0, 0.75), 20.0, 1e3, 1e8, 1e12, 1e15]:
+        for nu in [*np.arange(-0.5, 300.0, 0.25), 1e3, 1e8, 1e12, 1e15]:
             z = first_zero(float(nu))
             lo, hi = z.enclosure
             assert lo < z.j < hi, nu
