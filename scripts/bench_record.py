@@ -3,15 +3,16 @@
 
     python3 scripts/bench_record.py --pr 8 --base HEAD~1 --seeds 71 72 73
 
-Runs ``python3 perfbench/run.py --workload all --seconds 15 --trace 0`` once
-per seed in the working tree ("change") and in a ``git archive`` export of
-the ``--base`` revision ("parent"); the two sides alternate, and which runs
-first alternates from seed to seed, so that drift in the machine's speed
-reaches both alike.  The run length is fixed so that every BENCH file is
+Runs ``python3 perfbench/run.py --workload all --seconds 15 --trace 0`` and
+the tier-1 test suite once per seed in the working tree ("change") and in a
+``git archive`` export of the ``--base`` revision ("parent"); the two sides
+alternate, and which runs first alternates from seed to seed, so that drift
+in the machine's speed reaches both alike.  The run length is fixed so that every BENCH file is
 comparable with the others.  For each side the file holds the commit, the
 ``src/scx`` line count, every run's end-to-end metrics and their
-per-workload medians and quartiles, and the raw (unscaled) wall-time figures
-of each ``cli-cold`` run with their medians; it also counts, per metric, the
+per-workload medians and quartiles, the raw (unscaled) wall-time figures
+of each ``cli-cold`` run with their medians, and the wall time and exit code
+of each tier-1 run with the median time; it also counts, per metric, the
 seeds on which the change read better than the parent (``better`` from
 BENCHMARK.json).
 """
@@ -26,6 +27,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,6 +35,8 @@ SECONDS = 15.0
 # raw wall-time figures copied from each cli-cold run's results details
 CLI_RAW = ("cli_closed_form_ms_p50", "cli_eigensolve_ms_p50", "cli_variational_ms",
            "table_s", "raw_op_ms_p50", "raw_op_ms_tail")
+# the tier-1 suite as ROADMAP.md states it; no cache directory is written
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
 def git(*args: str, **kw) -> subprocess.CompletedProcess:
@@ -73,6 +77,16 @@ def cli_raw(checkout: str, seed: int) -> dict:
     with open(path, encoding="utf-8") as fh:
         details = json.load(fh)["details"]
     return {name: details[name] for name in CLI_RAW}
+
+
+def run_tier1(checkout: str) -> dict:
+    """Wall time and exit code of one tier-1 run in ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, "exit_code": proc.returncode,
+            "summary": (proc.stdout.strip().splitlines() or [""])[-1]}
 
 
 def summary(runs: list[dict], stat) -> dict:
@@ -116,7 +130,7 @@ def main(argv=None) -> int:
                                               text=True).stdout.strip())}}
         for side in sides.values():
             side["src_scx_lines"] = src_lines(side["checkout"])
-            side["runs"], side["cli_cold_raw"] = [], []
+            side["runs"], side["cli_cold_raw"], side["tier1"] = [], [], []
         for i, seed in enumerate(args.seeds):
             for name in list(sides)[::1 if i % 2 == 0 else -1]:
                 print(f"seed {seed}: {name}", file=sys.stderr, flush=True)
@@ -124,12 +138,14 @@ def main(argv=None) -> int:
                     run_bench(sides[name]["checkout"], seed))
                 sides[name]["cli_cold_raw"].append(
                     cli_raw(sides[name]["checkout"], seed))
+                sides[name]["tier1"].append(run_tier1(sides[name]["checkout"]))
     for side in sides.values():
         del side["checkout"]
         side["medians"] = summary(side["runs"], median)
         side["quartiles"] = summary(side["runs"], quartiles)
         side["cli_cold_raw_medians"] = {
             name: median(run[name] for run in side["cli_cold_raw"]) for name in CLI_RAW}
+        side["tier1_wall_s_median"] = median(run["wall_s"] for run in side["tier1"])
     sides["change_wins"] = wins(sides["parent"]["runs"], sides["change"]["runs"])
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

@@ -19,12 +19,25 @@ lies within r of mu, and once v is close to the first eigenvector that one
 is lambda_1, so convergence is quadratic.  A shift that ``dptsv`` refuses
 falls back to the last accepted one.
 
-A cold solve starts from v = 1 and the Gershgorin lower bound.  A caller
+A cold solve starts from v = 1 and the Gershgorin lower bound.  Given the
+log volume weight of each node (``log_mass``, as spectral's operators carry
+it), it starts instead at max(Gershgorin, min_i (T'x)_i / x_i - blur) with
+x = sqrt(mass / max mass): by Collatz-Wielandt that minimum lies below
+lambda_1 for every positive x, and with x shaped like the eigenvector it
+lies close under it, where Gershgorin can lie 1e4-1e7 below on n = 2 and 3
+radial operators.  Where x underflows, the start is Gershgorin's.  A caller
 that knows the answer roughly (spectral.lambda1_beta, from the finer grid of
 its pair) may pass a start vector and a value believed to lie below
 lambda_1: a start vector that is not strictly positive is replaced by v = 1,
-and a hinted first shift that ``dptsv`` refuses falls back to the Gershgorin
-one, so the hints change the number of solves, never the certificate.
+and a first shift that ``dptsv`` refuses falls back to the Gershgorin one,
+so the hints change the number of solves, never the certificate.
+
+The iteration runs in buffers allocated once per solve: ``dptsv`` factors
+and solves in place on scratch copies of T' - s and v, never on the
+caller's arrays, and the arithmetic writes into its outputs in the same
+order of operations as the plain expressions would.  The lower inertia test
+of the certificate is skipped when the last accepted shift already lies at
+or above it: pivots only grow as the shift falls.
 
 The four routines ``dptsv``, ``dpttrf``, ``ddot`` and ``dnrm2`` are bound
 from scipy's compiled modules ``scipy.linalg._flapack`` and ``_fblas``,
@@ -91,8 +104,9 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def tridiag_apply(diag, off, v):
-    out = diag * v
+def tridiag_apply(diag, off, v, out=None):
+    """T v, written into ``out`` when given."""
+    out = np.multiply(diag, v, out=out)
     out[:-1] += off * v[1:]
     out[1:] += off * v[:-1]
     return out
@@ -106,16 +120,40 @@ def _count(diag, off, lo, hi):
                                 check_finite=False).size
 
 
-def _below_spectrum(diag, off, x):
-    """True when x lies below every eigenvalue: T - x has positive pivots."""
-    return dpttrf(diag - x, off)[2] == 0
+def _below_spectrum(diag, off, x, d=None, e=None):
+    """True when x lies below every eigenvalue: T - x has positive pivots.
+
+    ``dpttrf`` factors in place in ``d`` and ``e``, scratch arrays shaped
+    like ``diag`` and ``off``, allocated here when not given.
+    """
+    if d is None:
+        d, e = np.empty_like(diag), np.empty_like(off)
+    np.subtract(diag, x, out=d)
+    np.copyto(e, off)
+    return dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0
 
 
-def smallest_eigenpair(diag, off, start=None, below=None):
+def _collatz_wielandt(diag, offs, log_mass, out) -> float:
+    """min_i (T'x)_i / x_i with x = sqrt(mass / max mass), which lies below
+    lambda_1 for every positive x; -inf where x underflows, and where all
+    weights are equal: x = 1 gives the row sums, Gershgorin's bound.
+    ``out`` is scratch shaped like ``diag``."""
+    log_mass = np.asarray(log_mass, dtype=float)
+    lo, hi = log_mass.min(), log_mass.max()
+    if not (lo < hi and np.exp(0.5 * (lo - hi)) >= _TINY):  # also on nan
+        return -math.inf
+    x = np.exp(0.5 * (log_mass - hi))
+    tx = tridiag_apply(diag, offs, x, out=out)
+    with np.errstate(over="ignore"):  # -inf next to a steep weight drop
+        return float(np.divide(tx, x, out=tx).min())
+
+
+def smallest_eigenpair(diag, off, start=None, below=None, log_mass=None):
     """Return (lambda_1, v) with v the positive-normalized eigenvector.
 
-    ``start`` approximates |v| and ``below`` a value under lambda_1; both are
-    hints that change where the iteration starts, never what it certifies.
+    ``start`` approximates |v|, ``below`` is a value under lambda_1 and
+    ``log_mass`` the log volume weight per node; all three are hints that
+    change where the iteration starts, never what it certifies.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -142,12 +180,27 @@ def smallest_eigenpair(diag, off, start=None, below=None):
     rowsum[1:] += offs
     rowsum[:-1] += offs
     gershgorin = float(rowsum.min()) - blur  # below every eigenvalue
-    shift = gershgorin if below is None else max(gershgorin, float(below) - blur)
+    # scratch: LAPACK factors T' - s in d_s and e_s and overwrites w with its
+    # solution; vv and dv hold the Rayleigh quotient's squares
+    d_s, e_s, w, vv, dv = (np.empty(k) for k in (m, m - 1, m, m, m - 1))
+    shift = gershgorin
+    if log_mass is not None:
+        shift = max(shift, _collatz_wielandt(diag, offs, log_mass, w) - blur)
+    if below is not None:
+        shift = max(shift, float(below) - blur)
     sigma = None  # the last shift proven to lie below lambda_1
     if start is not None and start.min() > 0 and (norm := dnrm2(start)) < np.inf:
         v = start / norm
     else:
         v = np.full(m, 1.0 / math.sqrt(m))
+    v_next, v_prev = v[1:], v[:-1]  # views: v is updated in place
+
+    def solve(s):
+        np.subtract(diag, s, out=d_s)
+        np.copyto(e_s, offs)
+        np.copyto(w, v)
+        return dptsv(d_s, e_s, w, overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
+
     # In exact arithmetic mu decreases at every step, so stop once it no longer
     # does: rounding makes it stall or wobble by an ulp or two.  The floor keeps
     # the test relative for tiny ||T||.
@@ -155,23 +208,24 @@ def smallest_eigenpair(diag, off, start=None, below=None):
     mu = prev = np.inf
     converged = False
     for steps in range(1, MAX_STEPS + 1):
-        *_, w, info = dptsv(diag - shift, offs, v)
+        info = solve(shift)
         if info != 0:  # shift passed lambda_1: back off to the last proven one
             back = gershgorin if sigma is None else sigma
             if back < shift:
                 shift = back
-                *_, w, info = dptsv(diag - shift, offs, v)
+                info = solve(shift)
         if info != 0:
             break
         sigma = shift
         nw = dnrm2(w)
         # (T' - sigma) w = v gives T' w_hat - mu w_hat = v/nw + (sigma - mu) w_hat.
         dot = ddot(v, w) / nw
-        v = w / nw
+        np.divide(w, nw, out=v)
         # Rayleigh quotient as sum (row sum) v_i^2 - sum e_i (v_{i+1} - v_i)^2:
         # no O(||T||) products cancel, so mu is good far below eps * ||T||.
-        dv = v[1:] - v[:-1]
-        mu = (ddot(rowsum, v * v) - ddot(offs, dv * dv)) / ddot(v, v)
+        np.subtract(v_next, v_prev, out=dv)
+        mu = (ddot(rowsum, np.multiply(v, v, out=vv))
+              - ddot(offs, np.multiply(dv, dv, out=dv))) / ddot(v, v)
         if mu >= prev - tol * max(abs(mu), floor):
             converged = True
             break
@@ -184,8 +238,9 @@ def smallest_eigenpair(diag, off, start=None, below=None):
             "inverse iteration failed to converge",
             m=m, steps=steps, estimate=mu,
         )
-    tv = tridiag_apply(diag, offs, v)
-    res = dnrm2(tv - mu * v)  # overflow-safe, unlike a sum of squares
+    tv = tridiag_apply(diag, offs, v, out=w)
+    tv -= np.multiply(v, mu, out=vv)
+    res = dnrm2(tv)  # overflow-safe, unlike a sum of squares
     if not res <= 1e-8 * scale:
         raise NumericalFailureError(
             "inverse iteration failed to converge",
@@ -193,10 +248,11 @@ def smallest_eigenpair(diag, off, start=None, below=None):
         )
 
     # Certificate: no eigenvalue below mu - slack, at least one below mu + slack.
+    # dptsv factored T' - sigma, so any x <= sigma is proven below the spectrum.
     slack = max(4 * blur, 1e-12 * max(abs(mu), 1.0))
     for _ in range(3):
-        if (_below_spectrum(diag, offs, mu - slack)
-                and not _below_spectrum(diag, offs, mu + slack)):
+        if ((sigma >= mu - slack or _below_spectrum(diag, offs, mu - slack, d_s, e_s))
+                and not _below_spectrum(diag, offs, mu + slack, d_s, e_s)):
             break
         slack *= 8  # pivot blur at the boundary; widen once or twice
     else:
@@ -210,9 +266,8 @@ def smallest_eigenpair(diag, off, start=None, below=None):
 
     # v >= 0 here: with positive pivots, dptsv maps a positive vector to a
     # non-negative one, so only restored signs can make the largest entry negative
-    flip = off > 0
-    if flip.any():
-        v = v * np.cumprod(np.concatenate(([1.0], np.where(flip, -1.0, 1.0))))
+    if off.max() > 0:
+        v = v * np.cumprod(np.concatenate(([1.0], np.where(off > 0, -1.0, 1.0))))
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
     return mu, v

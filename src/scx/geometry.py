@@ -354,8 +354,11 @@ def mean_curvature_of_ball(n: int, kappa: float, r: float) -> float:
 def radius_from_mean_curvature(n: int, kappa: float, mu: float) -> float:
     """Radius of the space-form ball whose boundary mean curvature equals mu.
 
-    Solves mu = (n-1) sn'(r)/sn(r) in closed form per curvature sign.
+    Solves mu = (n-1) sn'(r)/sn(r) in closed form per curvature sign, and
+    refuses what make_space_form_ball refuses, so that mean_curvature_of_ball
+    accepts every radius it returns.
     """
+    n = _dimension(n)
     if n < 2:
         raise InvalidParameterError(f"dimension must be >= 2, got {n}")
     t = mu / (n - 1)
@@ -381,4 +384,4 @@ def radius_from_mean_curvature(n: int, kappa: float, mu: float) -> float:
         raise InvalidParameterError(
             f"no admissible radius for (n={n}, kappa={kappa}, mu={mu}); solved r={r:g}"
         )
-    return r
+    return _space_form(n, kappa, r).r_max

@@ -24,14 +24,19 @@ still overflows raises NumericalFailureError.
 
 lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
 lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
-_CACHE_ENTRIES pairs, and on a miss solves the fine grid cold, so lambda1 is
+_CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid and solves it
+cold, from the same node-weight start as first_eigenpair, so lambda1 is
 always the value first_eigenpair gives at 2m, whatever was solved before.
-The coarse solve starts from the fine eigenvector and a first shift just
-under the fine value (_tridiag falls back to a cold start if either hint
-fails), which cuts its inverse-iteration steps to two or three.  The coarse
-value, and so the certificate and the Richardson estimate, agree with a cold
-coarse solve within the solver's certificate slack, not bit for bit.
-An eigenfunction comes from first_eigenpair(discretize(man, beta, m)).
+A radial pair does not discretize its coarse grid: _coarsen merges the fine
+cells in pairs, whose nodes and faces are bitwise those of discretize at m
+and whose masses are the same cell integrals by an 8-point composite rule.
+Interval grids do not nest, so an interval discretizes both.  The coarse
+solve starts from the fine eigenvector and a first shift just under the
+fine value (_tridiag falls back to a cold start if either hint fails),
+which cuts its inverse-iteration steps to two or three.  The coarse value,
+and so the certificate and the Richardson estimate, agree with a cold solve
+of the same coarse operator within the solver's certificate slack, not bit
+for bit.  An eigenfunction comes from first_eigenpair(discretize(man, beta, m)).
 
 Only what a result reads is computed: discretize never evaluates the drift
 A'/A, which Grid.drift computes from the profile on first read (the warped
@@ -73,6 +78,12 @@ class Grid:
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def log_faces(self) -> np.ndarray:
+        """log A at the outer cell faces (i+1)h, computed on first read; radial only."""
+        faces = self.h * np.arange(1, self.size + 1)  # the last on the boundary
+        return np.asarray(self.profile.log_density(faces), dtype=float)
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -166,14 +177,18 @@ def _cell_log_masses(prof, m: int, h: float) -> np.ndarray:
 
     The Gauss points lie in a (4, m) array, so each reduction is three
     vector passes over contiguous rows; the sum still runs
-    ((w0 + w1) + w2) + w3 per cell.
+    ((w0 + w1) + w2) + w3 per cell.  The log-sum-exp runs in place.
     """
     centers = (np.arange(m) + 0.5) * h
     pts = centers[None, :] + (0.5 * h * _GL_X)[:, None]
-    logs = np.asarray(prof.log_density(pts), dtype=float) \
-        + np.log(0.5 * h * _GL_W)[:, None]
+    logs = np.array(prof.log_density(pts), dtype=float)
+    logs += np.log(0.5 * h * _GL_W)[:, None]
     peak = logs.max(axis=0)
-    return peak + np.log(np.sum(np.exp(logs - peak), axis=0))
+    logs -= peak
+    total = np.exp(logs, out=logs).sum(axis=0)
+    total = np.log(total, out=total)
+    total += peak
+    return total
 
 
 def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
@@ -185,26 +200,51 @@ def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
         off = np.full(m - 1, -1.0 / h**2)
         log_mass = np.full(m, math.log(h))
         return DiscreteOperator(grid, diag, off, float(beta), log_mass)
-    prof = man.profile
-    faces = h * np.arange(1, m + 1)          # face m sits on the outer boundary
-    lF = np.asarray(prof.log_density(faces), dtype=float)
-    lM = _cell_log_masses(prof, m, h)
+    return _radial_operator(grid, beta, grid.log_faces, _cell_log_masses(grid.profile, m, h))
+
+
+def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
+    """The radial operator on cells of twice the width, from op's data.
+
+    Its nodes are the even-indexed faces of op and its faces the odd-indexed
+    ones, bitwise those of discretize at half the size; each cell mass is
+    the sum of its two halves, the same integral by an 8-point composite
+    rule, exact wherever discretize's 4-point rule is.
+    """
+    fine = op.grid
+    nodes = fine.h * np.arange(1, fine.size + 1, 2)
+    grid = Grid(nodes=nodes, h=2 * fine.h, profile=fine.profile,
+                sigma=np.asarray(fine.profile.scalar_curv(nodes), dtype=float))
+    lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
+    return _radial_operator(grid, op.beta, fine.log_faces[1::2], lM)
+
+
+def _radial_operator(grid: Grid, beta: float, lF: np.ndarray,
+                     lM: np.ndarray) -> DiscreteOperator:
+    """The finite-volume operator from log A at the faces and log cell masses."""
+    h, m = grid.h, grid.size
     diag = np.empty(m)
     # the ratios overflow on very high-dimensional balls, and an overflowing
     # ratio plus an overflowing -beta*sigma is nan; the solver refuses a
     # non-finite entry with a NumericalFailureError
     with np.errstate(over="ignore", invalid="ignore"):
-        diag[0] = np.exp(lF[0] - lM[0]) / h
-        diag[1:] = (np.exp(lF[:-1] - lM[1:]) + np.exp(lF[1:] - lM[1:])) / h
-        diag[-1] += np.exp(lF[-1] - lM[-1]) / h  # Dirichlet face at h/2: flux 2A(R)/h
+        np.exp(np.subtract(lF, lM, out=diag), out=diag)  # through each outer face
+        boundary = diag[-1] / h
+        diag[1:] += np.exp(lF[:-1] - lM[1:])  # through each inner face
+        diag /= h
+        diag[-1] += boundary  # Dirichlet face at h/2: flux 2A(R)/h
         diag += beta * grid.sigma
-        off = -np.exp(lF[:-1] - 0.5 * (lM[:-1] + lM[1:])) / h
+        off = np.add(lM[:-1], lM[1:])
+        off *= -0.5
+        off += lF[:-1]
+        np.exp(off, out=off)
+        off /= -h
     return DiscreteOperator(grid, diag, off, float(beta), lM)
 
 
 def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     """Smallest eigenvalue and its one-signed eigenvector."""
-    lam, v = smallest_eigenpair(op.diag, op.offdiag)
+    lam, v = smallest_eigenpair(op.diag, op.offdiag, log_mass=op.log_mass)
     u = op.unweight(v)
     return SpectralResult(lambda1=lam, eigenfunction=u, grid_size=op.grid.size,
                           beta=op.beta)
@@ -213,14 +253,20 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
 def _solve_pair(man: ModelManifold, beta: float, m: int, tol: float):
     """(lambda_1 at m, lambda_1 at 2m); the fine grid first.
 
-    The fine solve is cold, so its value does not depend on the pair.  The
-    coarse solve starts from the fine eigenvector summed over cell pairs and
-    from a first shift at the lowest coarse value the certificate accepts: a
-    coarse value below it fails the certificate whatever the solver does.
+    A radial pair discretizes only the fine grid and merges its cells in
+    pairs into the coarse operator; interval grids do not nest, so an
+    interval discretizes both.  The fine solve is cold, as first_eigenpair's,
+    so its value does not depend on the pair.  The coarse solve starts from
+    the fine eigenvector summed over cell pairs and from a first shift at
+    the lowest coarse value the certificate accepts: a coarse value below it
+    fails the certificate whatever the solver does.
     """
-    op_c = discretize(man, beta, m)
-    op_f = discretize(man, beta, 2 * m)
-    lam_f, v_f = smallest_eigenpair(op_f.diag, op_f.offdiag)
+    if man.kind == Kind.INTERVAL:
+        op_c, op_f = discretize(man, beta, m), discretize(man, beta, 2 * m)
+    else:
+        op_f = discretize(man, beta, 2 * m)
+        op_c = _coarsen(op_f)
+    lam_f, v_f = smallest_eigenpair(op_f.diag, op_f.offdiag, log_mass=op_f.log_mass)
     lam_c = smallest_eigenpair(
         op_c.diag, op_c.offdiag, start=np.abs(v_f[0::2] + v_f[1::2]),
         below=lam_f - 10 * tol * abs(lam_f),

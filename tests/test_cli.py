@@ -533,16 +533,20 @@ class TestGridLadder:
         # each rung solves its pair (m, 2m) afresh, so grid 2m is solved again
         assert grids == [64, 128, 128, 256, 256, 512, 512, 1024, 1024, 2048]
         assert MAX_GRID_FACTOR == 16
+        # a radial pair discretizes only its fine grid, one call per rung
+        grids.clear()
+        assert main(["compute", "ball:n=3,r=1", "--grid", "64", "--tol", "1e-12"]) == 3
+        assert grids == [128, 256, 512, 1024, 2048]
 
     def test_other_failure_exits_at_once(self, grids, capsys, monkeypatch):
         from scx import spectral
 
-        def failing(diag, off):
+        def failing(diag, off, **hints):
             raise NumericalFailureError("inverse iteration failed to converge", m=diag.size)
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", failing)
         assert main(["compute", "ball:n=4,r=3", "--grid", "64"]) == 3
-        assert grids == [64, 128]  # both grids of the pair, no doubling to 256
+        assert grids == [128]  # the fine grid of the pair, no doubling to 256
         assert "inverse iteration failed" in capsys.readouterr().err
 
     def test_reports_the_fine_grid_used(self, capsys):

@@ -231,6 +231,35 @@ class TestMeanCurvature:
         with pytest.raises(InvalidParameterError):
             radius_from_mean_curvature(3, -1.0, 1.5)  # needs mu > n-1
 
+    @pytest.mark.parametrize("n,kappa,mu", [
+        (2.5, 0.0, 1.0),    # not a dimension; r = 1.5 would be solved
+        (3, 0.0, 1e60),     # r = 2e-60 lies below MIN_SIZE
+    ])
+    def test_refuses_what_mean_curvature_refuses(self, n, kappa, mu):
+        with pytest.raises(InvalidParameterError):
+            radius_from_mean_curvature(n, kappa, mu)
+
+    def test_round_trip_over_the_shared_domain(self):
+        # every radius radius_from_mean_curvature returns is one that
+        # mean_curvature_of_ball accepts, and it maps back to mu
+        rng = np.random.default_rng(23)
+        accepted = 0
+        for _ in range(4000):
+            n = int(rng.integers(2, 9)) * rng.choice([1, 1.0])
+            kappa = float(rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-12, 12))
+            mu = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-60, 62))
+            try:
+                r = radius_from_mean_curvature(n, kappa, mu)
+            except InvalidParameterError:
+                continue
+            accepted += 1
+            back = mean_curvature_of_ball(n, kappa, r)
+            # rounding r moves mu by r |dmu/dr| eps, dmu/dr = -(n-1) kappa - mu^2/(n-1)
+            slope = (n - 1) * abs(kappa) + mu * mu / (n - 1)
+            assert abs(back - mu) <= 16 * np.finfo(float).eps * (abs(mu) + r * slope), \
+                (n, kappa, mu, r)
+        assert 1000 < accepted < 4000
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("r", [800.0, 1000.0])

@@ -110,6 +110,39 @@ class TestCellLogMasses:
         assert first == pytest.approx(exact, rel=1e-14 if n == 2 else 1e-3)
 
 
+class TestCoarsen:
+    @pytest.mark.parametrize("m", [37, 500, 2000])
+    @pytest.mark.parametrize("case", sorted(_MASS_CASES))
+    def test_grid_bitwise_that_of_half_the_size(self, case, m):
+        man = _MASS_CASES[case]()
+        fine = discretize(man, 0.25, 2 * m)
+        coarse = spectral._coarsen(fine)
+        direct = discretize(man, 0.25, m)
+        assert coarse.grid.h == direct.grid.h
+        assert np.array_equal(coarse.grid.nodes, direct.grid.nodes)
+        assert np.array_equal(coarse.grid.sigma, direct.grid.sigma)
+        assert np.array_equal(fine.grid.log_faces[1::2], direct.grid.log_faces)
+        assert coarse.beta == direct.beta
+
+    @pytest.mark.parametrize("m", [500, 2000])
+    @pytest.mark.parametrize("case", sorted(_MASS_CASES))
+    def test_merged_masses_are_the_same_integrals(self, case, m):
+        man = _MASS_CASES[case]()
+        coarse = spectral._coarsen(discretize(man, 0.25, 2 * m))
+        direct = discretize(man, 0.25, m)
+        assert np.allclose(coarse.log_mass, direct.log_mass, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exact_where_the_four_point_rule_is(self, n):
+        # A = d^(n-1) has degree <= 7: both rules integrate it exactly
+        man = make_space_form_ball(n, 0.0, 1.3)
+        coarse = spectral._coarsen(discretize(man, 0.25, 800))
+        direct = discretize(man, 0.25, 400)
+        assert np.allclose(coarse.log_mass, direct.log_mass, rtol=0, atol=1e-13)
+        assert np.allclose(coarse.diag, direct.diag, rtol=1e-12, atol=0)
+        assert np.allclose(coarse.offdiag, direct.offdiag, rtol=1e-12, atol=0)
+
+
 class TestDriftOnDemand:
     @pytest.fixture
     def drift_calls(self, monkeypatch):

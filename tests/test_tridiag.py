@@ -16,6 +16,7 @@ from scx import _tridiag, spectral
 from scx._tridiag import _below_spectrum, _count, smallest_eigenpair
 from scx.errors import NumericalFailureError
 from scx.geometry import (
+    Kind,
     make_hyperbolic_ball,
     make_interval,
     make_radial_custom,
@@ -36,6 +37,26 @@ def _stieltjes(rng, m):
     pad = np.concatenate(([0.0], -off, [0.0]))
     diag = pad[:-1] + pad[1:] + rng.uniform(0.0, 3.0, m) * 10.0 ** rng.uniform(-2, 2)
     return diag, off
+
+
+def _weighted(rng, m, decades=300.0):
+    """A symmetrized Stieltjes operator whose node weights w span ``decades``
+    decades below 1, with its log weights.
+
+    As in spectral's operators: fluxes k_i = c_i sqrt(w_i w_(i+1)) between
+    nodes, Dirichlet fluxes at both ends and a potential q >= 0, so that
+    (T' sqrt(w))_i / sqrt(w_i) is q_i away from the ends.
+    """
+    steps = np.cumsum(rng.uniform(0.0, 1.0, m))
+    log_w = -decades * math.log(10) * (steps - steps[0]) / (steps[-1] - steps[0])
+    if rng.integers(2):
+        log_w = log_w[::-1].copy()
+    c = rng.uniform(0.5, 2.0, m + 1)
+    ratio = np.exp(0.5 * np.diff(log_w))  # sqrt(w_(i+1) / w_i)
+    diag = rng.uniform(0.0, 3.0, m) + c[:-1] + c[1:]
+    diag[1:] += c[1:-1] * (1.0 / ratio - 1.0)
+    diag[:-1] += c[1:-1] * (ratio - 1.0)
+    return diag, -c[1:-1], log_w
 
 
 def _mixed(rng, m):
@@ -69,7 +90,7 @@ def _warm_coarse_call(monkeypatch, man, m, beta=0.25):
         mp.setattr(spectral, "_cache", OrderedDict())
         spectral.lambda1_beta(man, beta, m)
     assert [c[0].size for c in calls] == [2 * m, m]  # the fine grid first
-    assert [sorted(c[2]) for c in calls] == [[], ["below", "start"]]
+    assert [sorted(c[2]) for c in calls] == [["log_mass"], ["below", "start"]]
     return calls[1]
 
 
@@ -236,10 +257,11 @@ class TestSmallestEigenpair:
         inner = _tridiag.dptsv
 
         def spy(d, e, b, *args, **kwargs):
+            shift = float(np.max(diag - d))  # before dptsv factors d in place
             out = inner(d, e, b, *args, **kwargs)
             calls.append(out[-1])
             if out[-1] == 0:
-                accepted.append(float(np.max(diag - d)))
+                accepted.append(shift)
             return out
 
         monkeypatch.setattr(_tridiag, "dptsv", spy)
@@ -270,6 +292,73 @@ class TestSmallestEigenpair:
         xs = xs[near > 1e-6 * _scale(diag, off)]  # away from every eigenvalue
         for x in np.concatenate((xs, [lo, w[0] - 1e-3, w[0] + 1e-3, hi])):
             assert _below_spectrum(diag, off, x) == (_count(diag, off, -np.inf, x) == 0)
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_shift_below_lambda1(self, monkeypatch, seed):
+        rng = np.random.default_rng(400 + seed)
+        diag, off, log_mass = _weighted(rng, int(rng.integers(50, 401)))
+        assert np.exp(log_mass.min()) == pytest.approx(1e-300, rel=1e-9)
+        lam1 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+        shifts, infos = [], []
+        inner = _tridiag.dptsv
+
+        def spy(d, e, b, *args, **kwargs):
+            shifts.append(float(np.max(diag - d)))  # before dptsv factors d in place
+            out = inner(d, e, b, *args, **kwargs)
+            infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(_tridiag, "dptsv", spy)
+        lam, v = smallest_eigenpair(diag, off, log_mass=log_mass)
+        rowsum = diag + np.concatenate(([0.0], off)) + np.concatenate((off, [0.0]))
+        assert infos[0] == 0 and shifts[0] <= lam1
+        assert shifts[0] > rowsum.min()  # above the Gershgorin start
+        assert abs(lam - lam1) <= 1e-12 * _scale(diag, off)
+        assert np.all(v > 0)
+
+    @pytest.mark.parametrize("decades", [630.0, 870.0, "nan"])
+    def test_underflowing_weights_give_the_gershgorin_iteration(self, decades):
+        rng = np.random.default_rng(13)
+        if decades == "nan":
+            diag, off, log_mass = _weighted(rng, 200)
+            log_mass[5] = np.nan
+        else:
+            # sqrt(w) is subnormal at 630 decades below 1 and zero at 870
+            diag, off, log_mass = _weighted(rng, 200, decades)
+        lam, v = smallest_eigenpair(diag, off)
+        lam_w, v_w = smallest_eigenpair(diag, off, log_mass=log_mass)
+        assert lam_w == lam
+        assert v_w.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("man", [
+        make_spherical_cap(2, 1.5),
+        make_hyperbolic_ball(3, 2.0),
+    ], ids=["cap-n2", "hypball-n3"])
+    def test_cold_solve_takes_few_solves(self, monkeypatch, man):
+        op = spectral.discretize(man, 0.25, 2000)
+        _, infos = _dptsv_calls(monkeypatch, op.diag, op.offdiag, log_mass=op.log_mass)
+        assert len(infos) <= 6  # from the Gershgorin start: 9
+
+    def test_lambda1_matches_first_eigenpair_on_catalog(self, fresh_cache):
+        rng = np.random.default_rng(19)
+        for n in range(2, 9):
+            k = float(rng.uniform(0.2, 3.0))
+            catalog = [
+                make_space_form_ball(n, 0.0, rng.uniform(0.1, 5.0)),
+                make_space_form_ball(n, k, rng.uniform(0.1, 0.95) * math.pi / math.sqrt(k)),
+                make_space_form_ball(n, -k, rng.uniform(0.1, 5.0)),
+                make_spherical_cap(n, rng.uniform(0.1, 3.0)),
+                make_hyperbolic_ball(n, 10.0 ** rng.uniform(-1.0, 1.2)),
+                make_radial_custom(n, _bumpy_warp, rng.uniform(0.5, 1.5)),
+            ]
+            for man in catalog:
+                m, beta = int(rng.integers(64, 257)), float(rng.choice([0.0, 0.25]))
+                # tol=1: this test reads the value, not the certificate
+                got = spectral.lambda1_beta(man, beta, m, tol=1.0).lambda1
+                op = spectral.discretize(man, beta, 2 * m)
+                assert got == spectral.first_eigenpair(op).lambda1, (man, m, beta)
 
 
 class TestWarmStart:
@@ -325,8 +414,11 @@ class TestWarmStart:
     def test_richardson_matches_cold_pair(self, fresh_cache, man):
         m = 300
         res = spectral.lambda1_beta(man, 0.25, m)
-        cold = [spectral.first_eigenpair(spectral.discretize(man, 0.25, k)).lambda1
-                for k in (m, 2 * m)]
+        fine = spectral.discretize(man, 0.25, 2 * m)
+        # radial pairs merge the fine cells into the coarse operator
+        coarse = (spectral.discretize(man, 0.25, m) if man.kind == Kind.INTERVAL
+                  else spectral._coarsen(fine))
+        cold = [spectral.first_eigenpair(op).lambda1 for op in (coarse, fine)]
         assert res.lambda1 == cold[1]
         assert abs(res.richardson_estimate - (4.0 * cold[1] - cold[0]) / 3.0) \
             <= 1e-13 * abs(res.lambda1)
@@ -376,9 +468,9 @@ class TestSolveCache:
     def test_repeated_key_skips_discretize(self, fresh_cache, discretized):
         man = make_space_form_ball(3, 0.0, 1.25)
         first = spectral.lambda1_beta(man, 0.25, 64)
-        assert discretized == [64, 128]
+        assert discretized == [128]  # the coarse grid is merged from the fine one
         again = spectral.lambda1_beta(man, 0.25, 64)
-        assert discretized == [64, 128]
+        assert discretized == [128]
         assert again.lambda1 == first.lambda1
 
     @pytest.mark.parametrize("man, m", [
@@ -393,7 +485,7 @@ class TestSolveCache:
         later = spectral.lambda1_beta(man, 0.25, m)
         cold = spectral.first_eigenpair(spectral.discretize(man, 0.25, 2 * m)).lambda1
         assert later.lambda1 == cold
-        assert discretized == [2 * m, 4 * m, m, 2 * m, 2 * m]
+        assert discretized == [4 * m, 2 * m, 2 * m]
 
     def test_lambda1_beta_never_unweights(self, fresh_cache, monkeypatch):
         calls = []
