@@ -25,7 +25,8 @@ it), it starts instead at max(Gershgorin, min_i (T'x)_i / x_i - blur) with
 x = sqrt(mass / max mass): by Collatz-Wielandt that minimum lies below
 lambda_1 for every positive x, and with x shaped like the eigenvector it
 lies close under it, where Gershgorin can lie 1e4-1e7 below on n = 2 and 3
-radial operators.  Where x underflows, the start is Gershgorin's.  A caller
+radial operators.  Where x underflows, or all weights are equal (x = 1
+gives Gershgorin's row sums), the start is Gershgorin's.  A caller
 that knows the answer roughly (spectral.lambda1_beta, from the finer grid of
 its pair) may pass a start vector and a value believed to lie below
 lambda_1: a start vector that is not strictly positive is replaced by v = 1,

@@ -318,12 +318,14 @@ class TestColdStart:
         assert abs(lam - lam1) <= 1e-12 * _scale(diag, off)
         assert np.all(v > 0)
 
-    @pytest.mark.parametrize("decades", [630.0, 870.0, "nan"])
-    def test_underflowing_weights_give_the_gershgorin_iteration(self, decades):
+    @pytest.mark.parametrize("decades", [630.0, 870.0, "nan", "equal"])
+    def test_unusable_weights_give_the_gershgorin_iteration(self, decades):
         rng = np.random.default_rng(13)
         if decades == "nan":
             diag, off, log_mass = _weighted(rng, 200)
             log_mass[5] = np.nan
+        elif decades == "equal":  # x = 1: the bound is Gershgorin's row sums
+            diag, off, log_mass = *_weighted(rng, 200)[:2], np.full(200, -3.0)
         else:
             # sqrt(w) is subnormal at 630 decades below 1 and zero at 870
             diag, off, log_mass = _weighted(rng, 200, decades)
