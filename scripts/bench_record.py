@@ -14,7 +14,9 @@ per-workload medians and quartiles, the raw (unscaled) wall-time figures
 of each ``cli-cold`` run with their medians, and the wall time and exit code
 of each tier-1 run with the median time; it also counts, per metric, the
 seeds on which the change read better than the parent (``better`` from
-BENCHMARK.json).
+BENCHMARK.json).  After the pairs, each side makes one ``--trace 1`` run at
+the first seed, and the file keeps its per-layer metrics (``trace``), so
+that it shows in which layer a workload's time moved.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ def src_lines(checkout: str) -> int:
     return total
 
 
-def run_bench(checkout: str, seed: int) -> dict:
-    """{workload: {metric: value}} from one ``run.py --workload all`` run."""
+def run_bench(checkout: str, seed: int, trace: int = 0) -> dict:
+    """{workload: {metric: value}} from one ``run.py --workload all`` run:
+    the end-to-end metrics, or with ``trace`` the per-layer ones."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -139,6 +142,9 @@ def main(argv=None) -> int:
                 sides[name]["cli_cold_raw"].append(
                     cli_raw(sides[name]["checkout"], seed))
                 sides[name]["tier1"].append(run_tier1(sides[name]["checkout"]))
+        for name, side in sides.items():
+            print(f"seed {args.seeds[0]}: {name}, traced", file=sys.stderr, flush=True)
+            side["trace"] = run_bench(side["checkout"], args.seeds[0], trace=1)
     for side in sides.values():
         del side["checkout"]
         side["medians"] = summary(side["runs"], median)
@@ -151,7 +157,9 @@ def main(argv=None) -> int:
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"command": "python3 perfbench/run.py --workload all --trace 0",
-                   "seeds": args.seeds, "seconds": SECONDS, **sides},
+                   "trace_command": "python3 perfbench/run.py --workload all --trace 1",
+                   "seeds": args.seeds, "trace_seed": args.seeds[0],
+                   "seconds": SECONDS, **sides},
                   fh, indent=1)
         fh.write("\n")
     print(path)

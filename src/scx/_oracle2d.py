@@ -3,13 +3,19 @@
 Cross-checks product additivity against a direct five-point-stencil solve on
 a rectangle; deliberately independent of the one-dimensional spectral path.
 Not part of the public computation API.
+
+The shift-invert solve factors the matrix once, with SuperLU in the
+minimum-degree order of A^T + A, and hands ``eigsh`` that factorization's
+solve.  Left to itself, ``eigsh`` factors in COLAMD order, a column order for
+unsymmetric matrices: on the 1 x 2 rectangle at h = 1/64 (8001 unknowns) its
+L + U holds 454k nonzeros against 285k here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import diags, kronsum
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 
 def five_point_laplacian(a: float, b: float, target_h: float = 1.0 / 64):
@@ -31,6 +37,8 @@ def five_point_laplacian(a: float, b: float, target_h: float = 1.0 / 64):
 def rectangle_lambda1(a: float, b: float, target_h: float = 1.0 / 64) -> float:
     """First Dirichlet eigenvalue of -Lap on (0,a) x (0,b), five-point stencil."""
     A = five_point_laplacian(a, b, target_h)
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    inverse = LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
     lam = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(A.shape[0]),
-                return_eigenvectors=False)
+                OPinv=inverse, return_eigenvectors=False)
     return float(lam[0])

@@ -2,8 +2,9 @@
 
 Deterministic inverse iteration on LAPACK: ``dptsv`` LDL^T solves from
 shifts proven to lie below lambda_1, one Rayleigh quotient and a residual
-check, then a certificate from two ``dpttrf`` inertia tests that the
-returned value is the smallest eigenvalue.  No randomness anywhere.
+check, then a certificate that the returned value mu is the smallest
+eigenvalue to within a slack: no eigenvalue below mu - slack, at least one
+at or below mu + slack.  No randomness anywhere.
 
 The spectrum depends only on the squared off-diagonal, so the solver works
 on the Stieltjes form T' with off-diagonal -|e| and restores the signs of
@@ -36,9 +37,16 @@ so the hints change the number of solves, never the certificate.
 The iteration runs in buffers allocated once per solve: ``dptsv`` factors
 and solves in place on scratch copies of T' - s and v, never on the
 caller's arrays, and the arithmetic writes into its outputs in the same
-order of operations as the plain expressions would.  The lower inertia test
-of the certificate is skipped when the last accepted shift already lies at
-or above it: pivots only grow as the shift falls.
+order of operations as the plain expressions would.
+
+Each side of the certificate takes a ``dpttrf`` inertia test only where a
+cheaper proof is missing.  The lower side is proven without one when the
+last accepted shift already lies at or above mu - slack: pivots only grow
+as the shift falls.  The upper side is proven by the final residual
+res = ||T'v - mu v|| with ||v|| = 1, since some eigenvalue lies within res
+of mu: it holds when res plus the rounding blur is at most the slack, and
+only otherwise does ``dpttrf`` test mu + slack.  Neither proof changes mu,
+so they change the cost of a solve, never its value.
 
 The four routines ``dptsv``, ``dpttrf``, ``ddot`` and ``dnrm2`` are bound
 from scipy's compiled modules ``scipy.linalg._flapack`` and ``_fblas``,
@@ -250,10 +258,14 @@ def smallest_eigenpair(diag, off, start=None, below=None, log_mass=None):
 
     # Certificate: no eigenvalue below mu - slack, at least one below mu + slack.
     # dptsv factored T' - sigma, so any x <= sigma is proven below the spectrum.
+    # ||v|| = 1, so some eigenvalue lies within the residual of mu; blur covers
+    # the rounding of T'v - mu v, and where res + blur exceeds the slack an
+    # inertia test at mu + slack decides instead.
     slack = max(4 * blur, 1e-12 * max(abs(mu), 1.0))
     for _ in range(3):
         if ((sigma >= mu - slack or _below_spectrum(diag, offs, mu - slack, d_s, e_s))
-                and not _below_spectrum(diag, offs, mu + slack, d_s, e_s)):
+                and (res + blur <= slack
+                     or not _below_spectrum(diag, offs, mu + slack, d_s, e_s))):
             break
         slack *= 8  # pivot blur at the boundary; widen once or twice
     else:

@@ -27,6 +27,7 @@ eigensolve loads no ``scipy.special`` for this window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,6 +125,22 @@ def compare_sc_stab(case: ComparisonCase, m: int = DEFAULT_GRID) -> tuple[float,
     return (res_x.sc_stab, res_m.sc_stab)
 
 
+@functools.cache
+def _cheb_table(deg: int) -> tuple[np.ndarray, ...]:
+    """(x, T, T', T'') of one degree, built on first use and kept: the
+    Lobatto points x other than x = -1 and the values there of T_k, T_k'
+    and T_k'' (k = 0..deg), each read-only; they do not depend on the model."""
+    from numpy.polynomial import chebyshev as cheb
+
+    x = np.cos(np.pi * np.arange(1, deg + 1) / deg)
+    eye = np.eye(deg + 1)
+    table = (x, cheb.chebvander(x, deg),
+             *(cheb.chebval(x, cheb.chebder(eye, k)).T for k in (1, 2)))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def model_eigenfunction(model: ModelManifold, lam: float):
     """First Laplace eigenfunction of a space-form ball as a smooth callable.
 
@@ -139,17 +156,18 @@ def model_eigenfunction(model: ModelManifold, lam: float):
     prof = model.profile
     n, r = model.dim, prof.r_max
     for deg in _CHEB_DEGREES:
-        x = np.cos(np.pi * np.arange(1, deg + 1) / deg)
+        x, vander, t1, t2 = _cheb_table(deg)
         rho = 0.5 * r * (1.0 + x)
         sn, snp = prof.warp(rho)[:, None], prof.warp_prime(rho)[:, None]
-        eye = np.eye(deg + 1)
-        d1, d2 = ((2.0 / r) ** k * cheb.chebval(x, cheb.chebder(eye, k)).T for k in (1, 2))
-        ode = sn * d2 + (n - 1) * snp * d1 + lam * sn * cheb.chebvander(x, deg)
+        d1, d2 = (2.0 / r) * t1, (2.0 / r) ** 2 * t2
+        ode = sn * d2 + (n - 1) * snp * d1 + lam * sn * vander
         # rows scaled to max-norm 1: their raw sizes span orders of magnitude,
         # which costs digits where phi is small, next to rho = r
         rows = np.vstack([ode / np.max(np.abs(ode), axis=1, keepdims=True),
                           (-1.0) ** np.arange(deg + 1)])
-        coef = np.linalg.solve(rows, eye[-1])
+        rhs = np.zeros(deg + 1)
+        rhs[-1] = 1.0
+        coef = np.linalg.solve(rows, rhs)
         tail = float(np.max(np.abs(coef[-4:])) / np.max(np.abs(coef)))
         if tail <= _CHEB_TAIL_TOL:
             break

@@ -288,6 +288,9 @@ def lambda1_beta(
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta}")
+    # checked here, for every kind: a radial pair discretizes only 2m
+    if m < MIN_GRID:
+        raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {m}")
     if man.is_product_like:
         res = _add_factors([lambda1_beta(f, beta, m, tol) for f in man.factors])
         if not (math.isfinite(res.lambda1) and math.isfinite(res.richardson_estimate)):

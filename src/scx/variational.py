@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .geometry import ModelManifold
 from .spectral import DEFAULT_GRID, discretize, first_eigenpair, lambda1_beta
-from .warped import theta_form
+from .warped import theta_form, theta_form_on, warp_grid
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,15 @@ def maximize(
     eigen_value = 4.0 * lambda1_beta(base, 0.25, max(m, DEFAULT_GRID // 4)).lambda1
     # Eigenfunction for the trial family is solved on the trial grid itself.
     op = discretize(base, 0.25, m)
-    grid = op.grid
     eig = np.clip(first_eigenpair(op).eigenfunction, 1e-12, None)
+    # every trial is evaluated on one grid, so its drift is computed once
+    grid = warp_grid(base, m)
 
     best = -np.inf
     best_label = ""
     count = 0
     for label, cand in trial_functions(base, eig, grid, trials, seed):
-        val = inf_functional(base, cand, m)
+        val = float(np.min(theta_form_on(grid, cand)))
         count += 1
         if val > best:
             best, best_label = val, label

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel, clifford, comparison, variational, warped
-from ._constants import SUITES
+from ._constants import MIN_GRID, SUITES
 from ._oracle2d import rectangle_lambda1
 from .closed_forms import closed_form
 from .errors import InvalidParameterError, NumericalFailureError
@@ -409,9 +409,10 @@ def hyperbolic_suite(seed: int = 0, grid: int | None = None):
 
 def clifford_suite(seed: int = 0, grid: int | None = None):
     out = []
+    # each representation is built once and read by every check below
+    reps = {mdim: clifford.build_clifford(mdim) for mdim in range(1, 9)}
     worst = -math.inf
-    for mdim in range(1, 9):
-        rep = clifford.build_clifford(mdim)
+    for mdim, rep in reps.items():
         eye = np.eye(rep.spinor_dim)
         for i in range(mdim):
             for j in range(mdim):
@@ -421,7 +422,7 @@ def clifford_suite(seed: int = 0, grid: int | None = None):
     out.append(_check("clifford", "anticommutation relations (m=1..8)",
                       worst <= 1e-13, 1e-13 - worst, f"max defect {worst:.2e}"))
 
-    rep = clifford.build_clifford(2)
+    rep = reps[2]
     c = 0.83
     data = clifford.make_curvature(2, 1, {(0, 1): np.array([[1j * c]])})
     lam = clifford.curvature_endomorphism(rep, data).lambda_min
@@ -434,7 +435,7 @@ def clifford_suite(seed: int = 0, grid: int | None = None):
     max_gap = -math.inf
     for _ in range(50):
         mdim = int(rng.choice([2, 3, 4]))
-        rep = clifford.build_clifford(mdim)
+        rep = reps[mdim]
         d1 = clifford.random_curvature(mdim, int(rng.integers(1, 5)), rng)
         d2 = clifford.random_curvature(mdim, int(rng.integers(1, 5)), rng)
         l1 = clifford.curvature_endomorphism(rep, d1).lambda_min
@@ -447,7 +448,7 @@ def clifford_suite(seed: int = 0, grid: int | None = None):
                       f"min margin {worst:.2e}, observed max gap {max_gap:.3f}"))
 
     mdim, f1, f2 = 3, 2, 3
-    rep = clifford.build_clifford(mdim)
+    rep = reps[mdim]
     d1 = clifford.random_curvature(mdim, f1, rng)
     spec_full = np.sort(clifford.partial_spectrum(rep, d1, f2, "first"))
     spec_k1 = np.linalg.eigvalsh(clifford.curvature_endomorphism(rep, d1).matrix)
@@ -483,6 +484,17 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckResult]:
+    """The checks of suite ``name`` ("all": every suite in turn).
+
+    ``grid`` replaces each suite's default grids; one below MIN_GRID is
+    refused here, for every suite, before any suite runs.
+    """
+    if name != "all" and name not in _SUITE_FUNCS:
+        raise InvalidParameterError(
+            f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
+        )
+    if grid is not None and grid < MIN_GRID:
+        raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {grid}")
     if name == "all":
         # one suite's numerical failure becomes its failed check, so the
         # other suites still report their verdicts
@@ -494,8 +506,4 @@ def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckRe
                 results.append(_check(suite, "suite aborted", False, 0.0,
                                       f"{exc}; details: {exc.details}"))
         return results
-    if name not in _SUITE_FUNCS:
-        raise InvalidParameterError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
-        )
     return _SUITE_FUNCS[name](seed=seed, grid=grid)

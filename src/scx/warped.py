@@ -112,7 +112,7 @@ class WarpingFamily:
         return len(self.phis)
 
 
-def _warp_grid(base: ModelManifold, m: int) -> Grid:
+def warp_grid(base: ModelManifold, m: int) -> Grid:
     """operator_grid(base, m), refusing grids below MIN_WARP_GRID."""
     if m < MIN_WARP_GRID:
         raise InvalidParameterError(f"warped-metric grid must be >= {MIN_WARP_GRID}")
@@ -120,7 +120,7 @@ def _warp_grid(base: ModelManifold, m: int) -> Grid:
 
 
 def make_warping_family(base: ModelManifold, phis, m: int = 1024) -> WarpingFamily:
-    grid = _warp_grid(base, m)
+    grid = warp_grid(base, m)
     sampled = tuple(_sample(grid, phi) for phi in phis)
     if not sampled:
         raise InvalidParameterError("need at least one warping function")
@@ -168,7 +168,12 @@ def geometric_mean_reduce(w: WarpingFamily) -> WarpingFamily:
 
 def theta_form(base: ModelManifold, theta, m: int = 1024) -> np.ndarray:
     """sigma - 4 Lap(theta)/theta on the evaluation nodes (the N->infinity form)."""
-    grid = _warp_grid(base, m)
+    return theta_form_on(warp_grid(base, m), theta)
+
+
+def theta_form_on(grid: Grid, theta) -> np.ndarray:
+    """theta_form on a grid from warp_grid.  A caller that evaluates many
+    theta on one grid builds it once, and its drift is computed once."""
     phi = _sample(grid, theta)
     vals = grid.sigma - 4.0 * laplacian_quotient(grid, phi)
     return vals[grid.eval_slice]
@@ -179,7 +184,7 @@ def psi_form(base: ModelManifold, Psi, N, m: int = 1024) -> np.ndarray:
 
     N = math.inf gives the limiting coefficient 1.
     """
-    grid = _warp_grid(base, m)
+    grid = warp_grid(base, m)
     if N != math.inf and (not isinstance(N, int) or N < 1):
         raise InvalidParameterError(f"N must be a positive integer or inf, got {N}")
     coeff = 1.0 if N == math.inf else (N + 1.0) / N

@@ -617,6 +617,15 @@ class TestVerifyCommand:
         assert "published window" in out
         assert "published sign" in out
 
+    @pytest.mark.parametrize("suite", ["all", "clifford", "bessel", "warped"])
+    @pytest.mark.parametrize("grid", ["0", "-1", "5"])
+    def test_grid_below_minimum_exits_2(self, capsys, suite, grid):
+        # every suite, also one that reads no grid, and before any suite runs
+        assert main(["verify", suite, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid size must be >= 16, got {grid}" in captured.err
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])

@@ -205,3 +205,18 @@ class TestVectorizedAssembly:
             for side in ("first", "second"):
                 assert np.array_equal(partial_spectrum(rep, d1, d2.fiber_dim, side),
                                       _partial_loop(rep, d1, d2.fiber_dim, side))
+
+
+def test_clifford_suite_builds_each_dimension_once(monkeypatch):
+    from scx import clifford, verify
+
+    built = []
+
+    def counting(m):
+        built.append(m)
+        return build_clifford(m)
+
+    monkeypatch.setattr(clifford, "build_clifford", counting)
+    results = verify.clifford_suite(seed=0)
+    assert all(r.passed for r in results)
+    assert sorted(built) == sorted(set(built))

@@ -261,3 +261,67 @@ class TestRoundTrip:
     def test_interval_not_comparable(self):
         with pytest.raises(InvalidKindError):
             make_comparison_case(make_interval(0, 1), 0.0, 1.0)
+
+
+def _model_eigenfunction_reference(model, lam):
+    """model_eigenfunction's collocation with every matrix built per call,
+    kept as the bitwise reference for the per-degree table."""
+    from numpy.polynomial import chebyshev as cheb
+
+    prof = model.profile
+    n, r = model.dim, prof.r_max
+    for deg in comparison._CHEB_DEGREES:
+        x = np.cos(np.pi * np.arange(1, deg + 1) / deg)
+        rho = 0.5 * r * (1.0 + x)
+        sn, snp = prof.warp(rho)[:, None], prof.warp_prime(rho)[:, None]
+        eye = np.eye(deg + 1)
+        d1, d2 = ((2.0 / r) ** k * cheb.chebval(x, cheb.chebder(eye, k)).T for k in (1, 2))
+        ode = sn * d2 + (n - 1) * snp * d1 + lam * sn * cheb.chebvander(x, deg)
+        rows = np.vstack([ode / np.max(np.abs(ode), axis=1, keepdims=True),
+                          (-1.0) ** np.arange(deg + 1)])
+        coef = np.linalg.solve(rows, eye[-1])
+        if float(np.max(np.abs(coef[-4:])) / np.max(np.abs(coef))) <= comparison._CHEB_TAIL_TOL:
+            break
+
+    def phi(rho):
+        return cheb.chebval(2.0 * np.clip(rho, 0.0, r) / r - 1.0, coef)
+
+    return phi
+
+
+class TestChebyshevTable:
+    def test_arrays_read_only(self):
+        for arr in comparison._cheb_table(64):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, ...] = 0.0
+
+    def test_one_entry_per_degree(self):
+        comparison._cheb_table.cache_clear()
+        for _ in range(2):
+            for r in (1.0, 3.1, 3.14):  # degree 64, 128, and none resolves 3.14
+                model = make_space_form_ball(3, 1.0, r)
+                try:
+                    model_eigenfunction(model, math.pi**2 / r**2 - 1)
+                except NumericalFailureError:
+                    assert r == 3.14
+        info = comparison._cheb_table.cache_info()
+        assert info.currsize == len(comparison._CHEB_DEGREES) == info.misses
+
+    @pytest.mark.parametrize("kappa,seed", [(1.0, 6), (0.0, 13), (-1.0, 3)])
+    def test_bitwise_the_per_call_formula(self, kappa, seed):
+        points = np.linspace(-0.1, 1.1, 241)
+        for case in admissible_catalog(kappa, 6, seed=seed):
+            model = case.model
+            lam = lambda1_beta(model, 0.0, 200).richardson_estimate
+            rho = points * model.profile.r_max
+            got = model_eigenfunction(model, lam)(rho)
+            assert got.tobytes() == _model_eigenfunction_reference(model, lam)(rho).tobytes()
+
+    def test_bitwise_at_higher_degrees(self):
+        for r in (3.021, 3.1):  # resolved at degree 128
+            model = make_space_form_ball(3, 1.0, r)
+            lam = math.pi**2 / r**2 - 1
+            rho = np.linspace(0.0, r, 301)
+            got = model_eigenfunction(model, lam)(rho)
+            assert got.tobytes() == _model_eigenfunction_reference(model, lam)(rho).tobytes()

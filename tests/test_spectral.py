@@ -14,6 +14,7 @@ from scx.errors import (
     NumericalFailureError,
 )
 from scx.geometry import (
+    Kind,
     RadialProfile,
     SpaceForm,
     make_box,
@@ -334,6 +335,19 @@ class TestSolveParameters:
         for man in (make_interval(0, 1), make_box([1, 2])):
             with pytest.raises(InvalidParameterError, match="tol"):
                 lambda1_beta(man, 0.25, 64, tol=tol)
+
+    @pytest.mark.parametrize("m", [3, 8, 15])
+    def test_grid_below_minimum_refused_for_every_kind(self, m):
+        # a radial pair discretizes only 2m, so the check is lambda1_beta's own
+        kinds = [make_interval(0, 1), make_space_form_ball(3, 0.0, 1.0),
+                 make_space_form_ball(2, 1.0, 1.0), make_spherical_cap(3, 2.0),
+                 make_hyperbolic_ball(3, 2.0), make_radial_custom(3, np.sin, 1.0),
+                 make_box([1, 2]), product([make_interval(0, 1), make_hyperbolic_ball(2, 1.0)])]
+        assert {man.kind for man in kinds} == set(Kind)
+        for man in kinds:
+            for solve in (lambda: lambda1_beta(man, 0.0, m), lambda: sc_stab(man, m)):
+                with pytest.raises(InvalidParameterError, match=f"grid size must be >= 16, got {m}$"):
+                    solve()
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_beta_must_be_finite(self, beta):

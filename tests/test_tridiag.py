@@ -363,6 +363,100 @@ class TestColdStart:
                 assert got == spectral.first_eigenpair(op).lambda1, (man, m, beta)
 
 
+class TestResidualCertificate:
+    """The certificate's upper side, proven from the final residual."""
+
+    @staticmethod
+    def _solve(monkeypatch, diag, off, **hints):
+        """(lambda, accepted): accepted when no inertia test above lambda ran,
+        so the residual proved that an eigenvalue lies at or below it + slack."""
+        tested = []
+        inner = _tridiag._below_spectrum
+
+        def spy(d, o, x, *args):
+            tested.append(x)
+            return inner(d, o, x, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_tridiag, "_below_spectrum", spy)
+            lam, _ = smallest_eigenpair(diag, off, **hints)
+        return lam, not any(x > lam for x in tested)
+
+    @staticmethod
+    def _factors_above(lam, diag, off):
+        """True when dpttrf factors T' - (lambda + slack): no eigenvalue below."""
+        return _below_spectrum(diag, -np.abs(off), lam + _slack(lam, diag, off))
+
+    def test_never_accepts_where_dpttrf_factors_stieltjes(self, monkeypatch):
+        accepted = 0
+        for seed in range(60):
+            rng = np.random.default_rng(900 + seed)
+            m = int(rng.integers(2, 2001))
+            diag, off = _weighted(rng, m, 30.0)[:2] if seed % 2 else _stieltjes(rng, m)
+            lam, ok = self._solve(monkeypatch, diag, off)
+            if ok:
+                assert not self._factors_above(lam, diag, off), seed
+                accepted += 1
+        assert accepted >= 50
+
+    def test_never_accepts_where_dpttrf_factors_radial(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        accepted = total = 0
+        for n in range(2, 9):
+            k = float(rng.uniform(0.2, 3.0))
+            for man in (make_space_form_ball(n, 0.0, rng.uniform(0.1, 5.0)),
+                        make_space_form_ball(n, k, rng.uniform(0.1, 0.95) * math.pi / math.sqrt(k)),
+                        make_spherical_cap(n, rng.uniform(0.1, 3.0)),
+                        make_hyperbolic_ball(n, 10.0 ** rng.uniform(-1.0, 2.0)),
+                        make_radial_custom(n, _bumpy_warp, rng.uniform(0.5, 1.5))):
+                for m in (16, int(rng.integers(64, 4001))):
+                    op = spectral.discretize(man, float(rng.choice([0.0, 0.25])), m)
+                    lam, ok = self._solve(monkeypatch, op.diag, op.offdiag,
+                                          log_mass=op.log_mass)
+                    total += 1
+                    if ok:
+                        assert not self._factors_above(lam, op.diag, op.offdiag), (man, m)
+                        accepted += 1
+        assert accepted >= 0.8 * total
+
+    @pytest.mark.parametrize("blurs,accepted", [(2.0, True), (0.5, False)])
+    def test_inertia_test_where_residual_exceeds_slack_less_blur(
+            self, monkeypatch, blurs, accepted):
+        # the final residual, raised to (slack - blurs * blur) by one entry of
+        # T'v: the residual proves the upper side only while res + blur <= slack
+        diag, off, _ = _interval_matrix(500)
+        lam0, v0 = smallest_eigenpair(diag, off)
+        blur = 8 * np.finfo(float).eps * _scale(diag, off)
+        raise_by = _slack(lam0, diag, off) - blurs * blur
+        inner = _tridiag.tridiag_apply
+
+        def raised(*args, **kwargs):  # no log_mass: only the residual calls it
+            out = inner(*args, **kwargs)
+            out[0] += raise_by
+            return out
+
+        monkeypatch.setattr(_tridiag, "tridiag_apply", raised)
+        lam, ok = self._solve(monkeypatch, diag, off)
+        assert ok is accepted
+        assert lam == lam0  # the value never depends on which proof ran
+
+    def test_cold_radial_solve_takes_at_most_one_dpttrf(self, monkeypatch):
+        op = spectral.discretize(make_hyperbolic_ball(3, 2.0), 0.25, 2000)
+        calls = []
+        inner = _tridiag.dpttrf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(_tridiag, "dpttrf", counting)
+        _, accepted = self._solve(monkeypatch, op.diag, op.offdiag, log_mass=op.log_mass)
+        # the residual proves the upper side, where an inertia test at
+        # lambda + slack did before; the last shift usually proves the lower one
+        assert accepted
+        assert len(calls) <= 1
+
+
 class TestWarmStart:
     # dptsv calls of the hinted coarse solve at m = 500, as measured; a cold
     # solve of the same operator takes 8, 5 and 5

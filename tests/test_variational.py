@@ -12,7 +12,7 @@ from scx.geometry import (
     make_spherical_cap,
 )
 from scx.spectral import discretize, first_eigenpair, lambda1_beta, operator_grid
-from scx.variational import inf_functional, maximize
+from scx.variational import inf_functional, maximize, trial_functions
 
 CATALOG = [
     make_interval(0, 1),
@@ -106,3 +106,26 @@ class TestMajorization:
         rep = maximize(man, trials=5, seed=0, m=512)
         lam = lambda1_beta(man, 0.25, 1024).lambda1
         assert rep.eigen_value == pytest.approx(4 * lam, rel=1e-6)
+
+
+class TestOneTrialGrid:
+    """maximize evaluates every trial on one grid; its values are bitwise
+    those of inf_functional called trial by trial."""
+
+    @pytest.mark.parametrize("man", CATALOG + [bumpy_ball()])
+    def test_bitwise_the_per_trial_path(self, man):
+        m, trials, seed = 256, 40, 3
+        op = discretize(man, 0.25, m)
+        eig = np.clip(first_eigenpair(op).eigenfunction, 1e-12, None)
+        best, best_label = -np.inf, ""
+        for label, cand in trial_functions(man, eig, op.grid, trials, seed):
+            val = inf_functional(man, cand, m)
+            if val > best:
+                best, best_label = val, label
+        rep = maximize(man, trials=trials, seed=seed, m=m)
+        assert rep.best_value.hex() == best.hex()
+        assert rep.best_label == best_label
+
+    def test_warp_grid_floor_still_applies(self):
+        with pytest.raises(InvalidParameterError, match="warped-metric grid"):
+            maximize(make_interval(0, 1), trials=3, m=32)
