@@ -16,7 +16,11 @@ of each tier-1 run with the median time; it also counts, per metric, the
 seeds on which the change read better than the parent (``better`` from
 BENCHMARK.json).  After the pairs, each side makes one ``--trace 1`` run at
 the first seed, and the file keeps its per-layer metrics (``trace``), so
-that it shows in which layer a workload's time moved.
+that it shows in which layer a workload's time moved.  Last,
+``scripts/ab_inprocess.py`` times the two sides in one process on the
+``solve-sweep`` operations of the first seed, and the file keeps its summary
+(``ab_inprocess``): the median per-operation time ratio, change over parent,
+with its bootstrap interval.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 15.0
+AB_SECONDS = 30.0
 # raw wall-time figures copied from each cli-cold run's results details
 CLI_RAW = ("cli_closed_form_ms_p50", "cli_eigensolve_ms_p50", "cli_variational_ms",
            "table_s", "raw_op_ms_p50", "raw_op_ms_tail")
@@ -92,6 +97,19 @@ def run_tier1(checkout: str) -> dict:
             "summary": (proc.stdout.strip().splitlines() or [""])[-1]}
 
 
+def run_ab(commit: str, seed: int) -> dict:
+    """The summary of one in-process A/B of ``commit`` against the working
+    tree; it holds the exit code, non-zero when a pass turned into a fail or
+    a value left its certificate."""
+    cmd = [sys.executable, os.path.join(ROOT, "scripts", "ab_inprocess.py"), commit, ".",
+           "--workload", "solve-sweep", "--seconds", str(AB_SECONDS), "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    return {**json.loads(lines[-1]), "exit_code": proc.returncode}
+
+
 def summary(runs: list[dict], stat) -> dict:
     return {wl: {name: stat([run[wl][name] for run in runs]) for name in metrics}
             for wl, metrics in runs[0].items()}
@@ -145,6 +163,8 @@ def main(argv=None) -> int:
         for name, side in sides.items():
             print(f"seed {args.seeds[0]}: {name}, traced", file=sys.stderr, flush=True)
             side["trace"] = run_bench(side["checkout"], args.seeds[0], trace=1)
+        print(f"seed {args.seeds[0]}: in-process A/B", file=sys.stderr, flush=True)
+        ab = run_ab(commit, args.seeds[0])
     for side in sides.values():
         del side["checkout"]
         side["medians"] = summary(side["runs"], median)
@@ -159,7 +179,7 @@ def main(argv=None) -> int:
         json.dump({"command": "python3 perfbench/run.py --workload all --trace 0",
                    "trace_command": "python3 perfbench/run.py --workload all --trace 1",
                    "seeds": args.seeds, "trace_seed": args.seeds[0],
-                   "seconds": SECONDS, **sides},
+                   "seconds": SECONDS, **sides, "ab_inprocess": ab},
                   fh, indent=1)
         fh.write("\n")
     print(path)

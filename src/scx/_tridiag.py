@@ -1,10 +1,9 @@
 """Smallest eigenpair of a symmetric tridiagonal matrix.
 
 Deterministic inverse iteration on LAPACK: ``dptsv`` LDL^T solves from
-shifts proven to lie below lambda_1, one Rayleigh quotient and a residual
-check, then a certificate that the returned value mu is the smallest
-eigenvalue to within a slack: no eigenvalue below mu - slack, at least one
-at or below mu + slack.  No randomness anywhere.
+shifts proven to lie below lambda_1, then a certificate that the returned
+value mu is the smallest eigenvalue to within a slack: no eigenvalue below
+mu - slack, at least one at or below mu + slack.  No randomness anywhere.
 
 The spectrum depends only on the squared off-diagonal, so the solver works
 on the Stieltjes form T' with off-diagonal -|e| and restores the signs of
@@ -14,39 +13,44 @@ pivots exactly when s lies below every eigenvalue (the Sturm count that
 recurrence), so a shift is accepted only when ``dptsv`` factors T' - s.  Its
 inverse is then entrywise non-negative with 1/(lambda_1 - s) as its largest
 eigenvalue, so the iteration from any strictly positive vector can only
-converge to the first eigenvector.  After each solve the shift moves up to
-mu - r, with mu the Rayleigh quotient and r its residual: some eigenvalue
-lies within r of mu, and once v is close to the first eigenvector that one
-is lambda_1, so convergence is quadratic.  A shift that ``dptsv`` refuses
-falls back to the last accepted one.
+converge to the first eigenvector.  A shift that ``dptsv`` refuses falls
+back to the last accepted one.
 
-A cold solve starts from v = 1 and the Gershgorin lower bound.  Given the
-log volume weight of each node (``log_mass``, as spectral's operators carry
-it), it starts instead at max(Gershgorin, min_i (T'x)_i / x_i - blur) with
-x = sqrt(mass / max mass): by Collatz-Wielandt that minimum lies below
-lambda_1 for every positive x, and with x shaped like the eigenvector it
-lies close under it, where Gershgorin can lie 1e4-1e7 below on n = 2 and 3
-radial operators.  Where x underflows, or all weights are equal (x = 1
-gives Gershgorin's row sums), the start is Gershgorin's.  A caller
-that knows the answer roughly (spectral.lambda1_beta, from the finer grid of
-its pair) may pass a start vector and a value believed to lie below
-lambda_1: a start vector that is not strictly positive is replaced by v = 1,
-and a first shift that ``dptsv`` refuses falls back to the Gershgorin one,
-so the hints change the number of solves, never the certificate.
+A step is one ``dptsv``, one ``dnrm2``, one ``ddot`` and one divide.  With
+(T' - sigma) w = v and ||v|| = 1, the normalized w has Rayleigh quotient
+sigma + c/||w|| and residual r = sqrt(1 - c^2)/||w||, c = v.w/||w||; the
+next shift is that quotient less r.  Some eigenvalue lies within r of the
+quotient, and once v is close to the first eigenvector that one is
+lambda_1, so convergence is quadratic.
+
+The stop.  Once r reaches the slack, mu is taken as the Rayleigh quotient in
+row-sum form, sum (row sum) v_i^2 - sum e_i (v_{i+1} - v_i)^2, in which no
+O(||T||) products cancel, so mu is good far below eps ||T||, and the true
+residual res = ||T'v - mu v|| is formed.  Some eigenvalue lies within res
+of mu, so res plus the rounding blur at most the slack proves the upper
+side.  The lower side is proven by the last accepted shift when it lies at
+or above mu - slack (pivots only grow as the shift falls), and otherwise by
+one ``dpttrf`` inertia test at mu - slack.  When both hold the solve stops;
+otherwise it steps on.  Where r stalls above the slack, the iteration stops
+once the quotient no longer falls, and the certificate takes an inertia test
+for each side that the residual and the shift do not prove, widening the
+slack once or twice before it fails with the counts of ``_count``.
+
+One hint shapes a cold solve: ``start``, a positive vector close to |v|.
+Its Collatz-Wielandt value min_i (T'v)_i / v_i lies below lambda_1 for every
+positive v, and close under it where v is shaped like the eigenvector, so it
+less the blur is the first shift, where Gershgorin's bound can lie 1e4-1e7
+below on n = 2 and 3 radial operators.  ``below``, a value believed to lie
+under lambda_1, replaces that first shift (spectral passes the coarse
+eigenvalue of its pair, or the Collatz-Wielandt value of a vector that is
+no good as a start).  A start that is not strictly positive is replaced by
+v = 1 and Gershgorin's shift, and a first shift that ``dptsv`` refuses falls
+back to Gershgorin's, so the hints change the number of solves, never the
+certificate.
 
 The iteration runs in buffers allocated once per solve: ``dptsv`` factors
 and solves in place on scratch copies of T' - s and v, never on the
-caller's arrays, and the arithmetic writes into its outputs in the same
-order of operations as the plain expressions would.
-
-Each side of the certificate takes a ``dpttrf`` inertia test only where a
-cheaper proof is missing.  The lower side is proven without one when the
-last accepted shift already lies at or above mu - slack: pivots only grow
-as the shift falls.  The upper side is proven by the final residual
-res = ||T'v - mu v|| with ||v|| = 1, since some eigenvalue lies within res
-of mu: it holds when res plus the rounding blur is at most the slack, and
-only otherwise does ``dpttrf`` test mu + slack.  Neither proof changes mu,
-so they change the cost of a solve, never its value.
+caller's arrays.
 
 The four routines ``dptsv``, ``dpttrf``, ``ddot`` and ``dnrm2`` are bound
 from scipy's compiled modules ``scipy.linalg._flapack`` and ``_fblas``,
@@ -142,32 +146,29 @@ def _below_spectrum(diag, off, x, d=None, e=None):
     return dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0
 
 
-def _collatz_wielandt(diag, offs, log_mass, out) -> float:
-    """min_i (T'x)_i / x_i with x = sqrt(mass / max mass), which lies below
-    lambda_1 for every positive x; -inf where x underflows, and where all
-    weights are equal: x = 1 gives the row sums, Gershgorin's bound.
+def collatz_wielandt(diag, offs, x, out=None) -> float:
+    """min_i (T'x)_i / x_i, for T' with the non-positive off-diagonal
+    ``offs``: below lambda_1 for every positive x, and close under it where
+    x is shaped like the first eigenvector.  -inf or nan where x underflows;
     ``out`` is scratch shaped like ``diag``."""
-    log_mass = np.asarray(log_mass, dtype=float)
-    lo, hi = log_mass.min(), log_mass.max()
-    if not (lo < hi and np.exp(0.5 * (lo - hi)) >= _TINY):  # also on nan
-        return -math.inf
-    x = np.exp(0.5 * (log_mass - hi))
-    tx = tridiag_apply(diag, offs, x, out=out)
-    with np.errstate(over="ignore"):  # -inf next to a steep weight drop
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tx = tridiag_apply(diag, offs, x, out=out)
         return float(np.divide(tx, x, out=tx).min())
 
 
-def smallest_eigenpair(diag, off, start=None, below=None, log_mass=None):
+def smallest_eigenpair(diag, off, start=None, below=None):
     """Return (lambda_1, v) with v the positive-normalized eigenvector.
 
-    ``start`` approximates |v|, ``below`` is a value under lambda_1 and
-    ``log_mass`` the log volume weight per node; all three are hints that
-    change where the iteration starts, never what it certifies.
+    ``start`` approximates |v| and ``below`` is a value under lambda_1; both
+    are hints that change where the iteration starts, never what it certifies.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     m = diag.size
-    offs = -np.abs(off)
+    # T' = T where no off-diagonal entry is positive (nan compares false and
+    # is refused below), as on spectral's operators
+    signed = off.size > 0 and off.max() > 0
+    offs = -np.abs(off) if signed else off
     # max |diag| + 2 max |off|: the maxima propagate nan and inf, so the scale
     # is finite whenever every entry is (unless the sum itself overflows)
     scale = float(np.abs(diag).max() - 2 * offs.min(initial=0.0))
@@ -189,19 +190,17 @@ def smallest_eigenpair(diag, off, start=None, below=None, log_mass=None):
     rowsum[1:] += offs
     rowsum[:-1] += offs
     gershgorin = float(rowsum.min()) - blur  # below every eigenvalue
-    # scratch: LAPACK factors T' - s in d_s and e_s and overwrites w with its
-    # solution; vv and dv hold the Rayleigh quotient's squares
-    d_s, e_s, w, vv, dv = (np.empty(k) for k in (m, m - 1, m, m, m - 1))
-    shift = gershgorin
-    if log_mass is not None:
-        shift = max(shift, _collatz_wielandt(diag, offs, log_mass, w) - blur)
-    if below is not None:
-        shift = max(shift, float(below) - blur)
-    sigma = None  # the last shift proven to lie below lambda_1
+    # scratch, in one block: LAPACK factors T' - s in d_s and e_s and
+    # overwrites w with its solution; vv and dv hold the Rayleigh quotient's
+    # squares
+    scratch = np.empty(5 * m - 2)
+    d_s, w, vv = scratch[:m], scratch[m:2 * m], scratch[2 * m:3 * m]
+    e_s, dv = scratch[3 * m:4 * m - 1], scratch[4 * m - 1:]
     if start is not None and start.min() > 0 and (norm := dnrm2(start)) < np.inf:
         v = start / norm
     else:
         v = np.full(m, 1.0 / math.sqrt(m))
+        start = None
     v_next, v_prev = v[1:], v[:-1]  # views: v is updated in place
 
     def solve(s):
@@ -210,12 +209,32 @@ def smallest_eigenpair(diag, off, start=None, below=None, log_mass=None):
         np.copyto(w, v)
         return dptsv(d_s, e_s, w, overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
 
-    # In exact arithmetic mu decreases at every step, so stop once it no longer
-    # does: rounding makes it stall or wobble by an ulp or two.  The floor keeps
-    # the test relative for tiny ||T||.
+    def rayleigh_quotient():
+        # sum (row sum) v_i^2 - sum e_i (v_{i+1} - v_i)^2: no O(||T||)
+        # products cancel, so mu is good far below eps * ||T||
+        np.subtract(v_next, v_prev, out=dv)
+        return (ddot(rowsum, np.multiply(v, v, out=vv))
+                - ddot(offs, np.multiply(dv, dv, out=dv))) / ddot(v, v)
+
+    def residual(mu):
+        tv = tridiag_apply(diag, offs, v, out=w)
+        tv -= np.multiply(v, mu, out=vv)
+        return dnrm2(tv)  # overflow-safe, unlike a sum of squares
+
+    shift = gershgorin
+    if below is not None:
+        shift = max(shift, float(below) - blur)
+    elif start is not None:
+        cw = collatz_wielandt(diag, offs, v, out=w) - blur
+        if cw > shift:  # false on nan, where v underflows
+            shift = cw
+    # In exact arithmetic the Rayleigh quotient decreases at every step; the
+    # estimate below stalls or wobbles by rounding once v has converged as
+    # far as it can.  The floor keeps the test relative for tiny ||T||.
     tol, floor = 4 * _EPS, min(scale, 1.0)
-    mu = prev = np.inf
-    converged = False
+    sigma = None  # the last shift proven to lie below lambda_1
+    est = prev = np.inf
+    proven = converged = False
     for steps in range(1, MAX_STEPS + 1):
         info = solve(shift)
         if info != 0:  # shift passed lambda_1: back off to the last proven one
@@ -226,60 +245,66 @@ def smallest_eigenpair(diag, off, start=None, below=None, log_mass=None):
         if info != 0:
             break
         sigma = shift
+        # (T' - sigma) w = v with ||v|| = 1: w_hat = w / ||w|| has Rayleigh
+        # quotient sigma + c / ||w|| and residual sqrt(1 - c^2) / ||w||,
+        # c = v . w_hat; divided by ||w|| twice, as 1/||w||^2 may overflow
         nw = dnrm2(w)
-        # (T' - sigma) w = v gives T' w_hat - mu w_hat = v/nw + (sigma - mu) w_hat.
-        dot = ddot(v, w) / nw
+        c = ddot(v, w) / nw
         np.divide(w, nw, out=v)
-        # Rayleigh quotient as sum (row sum) v_i^2 - sum e_i (v_{i+1} - v_i)^2:
-        # no O(||T||) products cancel, so mu is good far below eps * ||T||.
-        np.subtract(v_next, v_prev, out=dv)
-        mu = (ddot(rowsum, np.multiply(v, v, out=vv))
-              - ddot(offs, np.multiply(dv, dv, out=dv))) / ddot(v, v)
-        if mu >= prev - tol * max(abs(mu), floor):
+        est = sigma + c / nw
+        r = math.sqrt(max((1.0 - c) * (1.0 + c), 0.0)) / nw
+        if r <= max(4 * blur, 1e-12 * max(abs(est), 1.0)):
+            # the estimate says the certificate holds: stop if v proves it
+            mu = rayleigh_quotient()
+            res = residual(mu)
+            slack = max(4 * blur, 1e-12 * max(abs(mu), 1.0))
+            if res + blur <= slack and (
+                    sigma >= mu - slack
+                    or _below_spectrum(diag, offs, mu - slack, d_s, e_s)):
+                proven = True
+                break
+        if est >= prev - tol * max(abs(est), floor):
             converged = True
             break
-        prev = mu
-        a, gap = 1.0 / nw, mu - sigma
-        r = math.sqrt(max(a * a - 2.0 * gap * dot * a + gap * gap, 0.0))
-        shift = max(sigma, mu - r)
-    if not converged:
-        raise NumericalFailureError(
-            "inverse iteration failed to converge",
-            m=m, steps=steps, estimate=mu,
-        )
-    tv = tridiag_apply(diag, offs, v, out=w)
-    tv -= np.multiply(v, mu, out=vv)
-    res = dnrm2(tv)  # overflow-safe, unlike a sum of squares
-    if not res <= 1e-8 * scale:
-        raise NumericalFailureError(
-            "inverse iteration failed to converge",
-            residual=res, estimate=mu, scale=scale,
-        )
+        prev = est
+        shift = max(sigma, est - r)
 
-    # Certificate: no eigenvalue below mu - slack, at least one below mu + slack.
-    # dptsv factored T' - sigma, so any x <= sigma is proven below the spectrum.
-    # ||v|| = 1, so some eigenvalue lies within the residual of mu; blur covers
-    # the rounding of T'v - mu v, and where res + blur exceeds the slack an
-    # inertia test at mu + slack decides instead.
-    slack = max(4 * blur, 1e-12 * max(abs(mu), 1.0))
-    for _ in range(3):
-        if ((sigma >= mu - slack or _below_spectrum(diag, offs, mu - slack, d_s, e_s))
-                and (res + blur <= slack
-                     or not _below_spectrum(diag, offs, mu + slack, d_s, e_s))):
-            break
-        slack *= 8  # pivot blur at the boundary; widen once or twice
-    else:
-        slack /= 8
-        below = _count(diag, off, -np.inf, mu - slack)
-        above = below + _count(diag, off, mu - slack, mu + slack)
-        raise NumericalFailureError(
-            "eigenvalue certificate failed",
-            estimate=mu, counts=(below, above), slack=slack,
-        )
+    if not proven:
+        if not converged:
+            raise NumericalFailureError(
+                "inverse iteration failed to converge",
+                m=m, steps=steps, estimate=est,
+            )
+        mu = rayleigh_quotient()
+        res = residual(mu)
+        if not res <= 1e-8 * scale:
+            raise NumericalFailureError(
+                "inverse iteration failed to converge",
+                residual=res, estimate=mu, scale=scale,
+            )
+        # The certificate where the stop rule did not prove it: any x <= sigma
+        # is proven below the spectrum, and some eigenvalue lies within
+        # res + blur of mu; an inertia test at mu -/+ slack decides a side
+        # that neither proves.
+        slack = max(4 * blur, 1e-12 * max(abs(mu), 1.0))
+        for _ in range(3):
+            if ((sigma >= mu - slack or _below_spectrum(diag, offs, mu - slack, d_s, e_s))
+                    and (res + blur <= slack
+                         or not _below_spectrum(diag, offs, mu + slack, d_s, e_s))):
+                break
+            slack *= 8  # pivot blur at the boundary; widen once or twice
+        else:
+            slack /= 8
+            below = _count(diag, off, -np.inf, mu - slack)
+            above = below + _count(diag, off, mu - slack, mu + slack)
+            raise NumericalFailureError(
+                "eigenvalue certificate failed",
+                estimate=mu, counts=(below, above), slack=slack,
+            )
 
     # v >= 0 here: with positive pivots, dptsv maps a positive vector to a
     # non-negative one, so only restored signs can make the largest entry negative
-    if off.max() > 0:
+    if signed:
         v = v * np.cumprod(np.concatenate(([1.0], np.where(off > 0, -1.0, 1.0))))
         if v[np.argmax(np.abs(v))] < 0:
             v = -v

@@ -53,16 +53,16 @@ def _count_below(b2: list[float], x: float) -> int:
     return count
 
 
-def _largest_eigenvalue(b2: list[float], lo: float, hi: float) -> float:
+def _largest_eigenvalue(b2: list[float], lo: float, hi: float) -> tuple[float, float]:
     """The largest eigenvalue, bracketed by lo and hi, bisected to one ulp.
 
-    Returns the upper end of the final bracket.
+    Returns the final bracket (lo, hi).
     """
     size = len(b2) + 1
     for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return hi
+            return lo, hi
         if _count_below(b2, mid) == size:
             hi = mid
         else:
@@ -80,7 +80,8 @@ def first_bessel_zero(nu: float) -> float:
     passes j_nu ~ nu + 1.86 nu^(1/3), so the matrix is truncated at
     size = int(12 nu^(1/3)) + 30.  Sturm-count bisection finds the eigenvalue
     at size to one ulp; the one at 2 size must lie within 1e-13 relative of
-    it, or NumericalFailureError is raised, and is bisected to one ulp in turn.
+    it, or NumericalFailureError is raised, and is bisected to one ulp in
+    turn.  j_nu is the inverse of the midpoint of that last bracket.
 
     From nu = 2e11 on, the Qu-Wong bounds (qu_wong_bounds) are within 2^-50
     relative of each other, and the upper one is returned.
@@ -92,12 +93,14 @@ def first_bessel_zero(nu: float) -> float:
     size = int(12.0 * max(nu, 0.0) ** (1.0 / 3.0)) + 30
     b2 = [0.25 / ((nu + k) * (nu + k + 1)) for k in range(1, 2 * size)]
     # Gershgorin: no eigenvalue exceeds the largest row sum b_1 + b_2
-    lam = _largest_eigenvalue(b2[:size - 1], 0.0, math.sqrt(b2[0]) + math.sqrt(b2[1]))
+    lam = _largest_eigenvalue(b2[:size - 1], 0.0, math.sqrt(b2[0]) + math.sqrt(b2[1]))[1]
     lo, hi = lam * (1.0 - _TRUNCATION_AGREEMENT), lam * (1.0 + _TRUNCATION_AGREEMENT)
     if not _count_below(b2, lo) < 2 * size == _count_below(b2, hi):
         raise NumericalFailureError(
             "Bessel zero truncations disagree", nu=nu, size=size, eigenvalue=lam)
-    return 1.0 / _largest_eigenvalue(b2, lo, hi)
+    # the midpoint of the final bracket: its upper end biases j_nu low
+    lo, hi = _largest_eigenvalue(b2, lo, hi)
+    return 2.0 / (lo + hi)
 
 
 def closed_form(man: ModelManifold, beta: float = 0.25) -> float:

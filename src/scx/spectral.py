@@ -24,19 +24,21 @@ still overflows raises NumericalFailureError.
 
 lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
 lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
-_CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid and solves it
-cold, from the same node-weight start as first_eigenpair, so lambda1 is
-always the value first_eigenpair gives at 2m, whatever was solved before.
-A radial pair does not discretize its coarse grid: _coarsen merges the fine
-cells in pairs, whose nodes and faces are bitwise those of discretize at m
-and whose masses are the same cell integrals by an 8-point composite rule.
-Interval grids do not nest, so an interval discretizes both.  The coarse
-solve starts from the fine eigenvector and a first shift just under the
-fine value (_tridiag falls back to a cold start if either hint fails),
-which cuts its inverse-iteration steps to two or three.  The coarse value,
-and so the certificate and the Richardson estimate, agree with a cold solve
-of the same coarse operator within the solver's certificate slack, not bit
-for bit.  An eigenfunction comes from first_eigenpair(discretize(man, beta, m)).
+_CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid only, and
+_solve does the pair coarse first: _coarsen merges the fine cells in pairs,
+whose nodes and faces are bitwise those of discretize at m and whose masses
+are the same cell integrals by an 8-point composite rule; the merged
+operator is solved cold, and the fine one from that eigenvector, prolonged
+to both halves of each cell, and from a first shift at the coarse value, so
+that it takes one or two inverse-iteration steps.  first_eigenpair solves
+through the same _solve, so lambda1 is always the value first_eigenpair
+gives at 2m, whatever was solved before, and the coarse value is a cold
+solve of the merged operator.  Interval grids do not nest, so an interval
+discretizes both grids and solves each cold, as first_eigenpair solves an
+operator of odd size.  A cold solve starts from _cold_hints: the exact
+discrete eigenvector on intervals, and on radial operators the node
+weights times 1 - t^2.  An eigenfunction comes from
+first_eigenpair(discretize(man, beta, m)).
 
 Only what a result reads is computed: discretize never evaluates the drift
 A'/A, which Grid.drift computes from the profile on first read (the warped
@@ -53,9 +55,11 @@ from functools import cached_property
 import numpy as np
 
 from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID
-from ._tridiag import smallest_eigenpair
+from ._tridiag import collatz_wielandt, smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import Kind, ModelManifold, RadialProfile, SpaceForm, product
+
+_TINY = float(np.finfo(float).tiny)
 
 # message of the NumericalFailureError raised when the two grids disagree
 CERTIFICATE_FAILED = "grid-doubling certificate failed"
@@ -242,35 +246,75 @@ def _radial_operator(grid: Grid, beta: float, lF: np.ndarray,
     return DiscreteOperator(grid, diag, off, float(beta), lM)
 
 
+def _cold_hints(op: DiscreteOperator) -> dict:
+    """Hints for a cold solve of op: a positive start vector shaped like its
+    first eigenvector, whose Collatz-Wielandt value is the first shift.
+
+    Intervals: sin(pi i / (m + 1)), the exact discrete eigenvector.  Radial
+    operators: x (1 - t^2) with x = sqrt(mass / max mass), the symmetrized
+    samples of a function that vanishes at t = 1, and t the node over r.
+    Where x is mostly tiny (mean below 0.05: large hyperbolic balls), the
+    eigenvector is spread far wider than x; the start is then ones, and x
+    gives only the first shift.  Where the vector underflows, or the masses
+    are not finite, there are no hints: ones and Gershgorin's shift.
+    """
+    m = op.grid.size
+    if op.grid.profile is None:
+        # half of it, mirrored: sin near pi would lose the relative accuracy
+        # of the small entries, and with it a first shift within the slack
+        half = np.sin((math.pi / (m + 1)) * np.arange(1, (m + 1) // 2 + 1))
+        return {"start": np.concatenate((half, half[:m // 2][::-1]))}
+    with np.errstate(under="ignore"):
+        x = np.exp(0.5 * (op.log_mass - op.log_mass.max()))
+        spread = np.add.reduce(x) < 0.05 * m
+        if not spread:
+            t = op.grid.nodes / (m * op.grid.h)
+            x *= 1.0 - t * t
+    if not x.min() >= _TINY:  # also on nan
+        return {}
+    if spread:
+        return {"below": collatz_wielandt(op.diag, op.offdiag, x)}
+    return {"start": x}
+
+
+def _solve(op: DiscreteOperator):
+    """(lambda_1, v) of op, and lambda_1 of its merged operator or None.
+
+    An even radial operator is solved on two levels: _coarsen(op) cold, then
+    op from the coarse eigenvector prolonged to both halves of each cell
+    (times the square root of the mass ratio, so that the function samples
+    are piecewise constant) and from a first shift at the coarse value; the
+    solver falls back if that shift lies above lambda_1.  Intervals and odd
+    sizes are solved cold.
+    """
+    if op.grid.profile is None or op.grid.size % 2:
+        return (*smallest_eigenpair(op.diag, op.offdiag, **_cold_hints(op)), None)
+    coarse = _coarsen(op)
+    lam_c, v_c = smallest_eigenpair(coarse.diag, coarse.offdiag, **_cold_hints(coarse))
+    start = np.repeat(v_c, 2)
+    start *= np.exp(0.5 * (op.log_mass - np.repeat(coarse.log_mass, 2)))
+    return (*smallest_eigenpair(op.diag, op.offdiag, start=start, below=lam_c), lam_c)
+
+
 def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     """Smallest eigenvalue and its one-signed eigenvector."""
-    lam, v = smallest_eigenpair(op.diag, op.offdiag, log_mass=op.log_mass)
+    lam, v, _ = _solve(op)
     u = op.unweight(v)
     return SpectralResult(lambda1=lam, eigenfunction=u, grid_size=op.grid.size,
                           beta=op.beta)
 
 
-def _solve_pair(man: ModelManifold, beta: float, m: int, tol: float):
-    """(lambda_1 at m, lambda_1 at 2m); the fine grid first.
+def _solve_pair(man: ModelManifold, beta: float, m: int):
+    """(lambda_1 at m, lambda_1 at 2m).
 
-    A radial pair discretizes only the fine grid and merges its cells in
-    pairs into the coarse operator; interval grids do not nest, so an
-    interval discretizes both.  The fine solve is cold, as first_eigenpair's,
-    so its value does not depend on the pair.  The coarse solve starts from
-    the fine eigenvector summed over cell pairs and from a first shift at
-    the lowest coarse value the certificate accepts: a coarse value below it
-    fails the certificate whatever the solver does.
+    A radial pair discretizes only the fine grid; _solve merges its cells in
+    pairs into the coarse operator and solves both, so the fine value is
+    first_eigenpair's.  Interval grids do not nest, so an interval
+    discretizes and solves both.
     """
     if man.kind == Kind.INTERVAL:
-        op_c, op_f = discretize(man, beta, m), discretize(man, beta, 2 * m)
-    else:
-        op_f = discretize(man, beta, 2 * m)
-        op_c = _coarsen(op_f)
-    lam_f, v_f = smallest_eigenpair(op_f.diag, op_f.offdiag, log_mass=op_f.log_mass)
-    lam_c = smallest_eigenpair(
-        op_c.diag, op_c.offdiag, start=np.abs(v_f[0::2] + v_f[1::2]),
-        below=lam_f - 10 * tol * abs(lam_f),
-    )[0]
+        return tuple(_solve(discretize(man, beta, k))[0] for k in (m, 2 * m))
+    lam_f, _, lam_c = _solve(discretize(man, beta, 2 * m))
     return lam_c, lam_f
 
 
@@ -302,7 +346,7 @@ def lambda1_beta(
     key = (man.key(), beta, m)
     pair = _cache.get(key)
     if pair is None:
-        pair = _cache[key] = _solve_pair(man, beta, m, tol)
+        pair = _cache[key] = _solve_pair(man, beta, m)
         if len(_cache) > _CACHE_ENTRIES:
             _cache.popitem(last=False)
     else:

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from scx import _tridiag, spectral
-from scx._tridiag import _below_spectrum, _count, smallest_eigenpair
+from scx._tridiag import _below_spectrum, _count, collatz_wielandt, smallest_eigenpair
 from scx.errors import NumericalFailureError
 from scx.geometry import (
     Kind,
@@ -65,6 +65,13 @@ def _mixed(rng, m):
     return rng.uniform(-3.0, 3.0, m), off
 
 
+def _radial_operator(diag, off, log_mass):
+    """A DiscreteOperator with the given matrix and log masses on the grid of
+    a flat 3-ball of radius 1."""
+    grid = spectral.operator_grid(make_space_form_ball(3, 0.0, 1.0), diag.size)
+    return spectral.DiscreteOperator(grid, diag, off, 0.25, log_mass)
+
+
 def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -77,8 +84,9 @@ def _scale(diag, off):
     return float(np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
 
 
-def _warm_coarse_call(monkeypatch, man, m, beta=0.25):
-    """(diag, off, hints) of the one hinted solve in a cold lambda1_beta(man, beta, m)."""
+def _warm_fine_call(monkeypatch, man, m, beta=0.25):
+    """(diag, off, hints) of the warm solve in a cold lambda1_beta(man, beta, m):
+    the fine operator, from the prolonged coarse eigenvector."""
     calls = []
 
     def recording(diag, off, **hints):
@@ -89,9 +97,31 @@ def _warm_coarse_call(monkeypatch, man, m, beta=0.25):
         mp.setattr(spectral, "smallest_eigenpair", recording)
         mp.setattr(spectral, "_cache", OrderedDict())
         spectral.lambda1_beta(man, beta, m)
-    assert [c[0].size for c in calls] == [2 * m, m]  # the fine grid first
-    assert [sorted(c[2]) for c in calls] == [["log_mass"], ["below", "start"]]
+    assert [c[0].size for c in calls] == [m, 2 * m]  # the coarse grid first
+    coarse = spectral._coarsen(spectral.discretize(man, beta, 2 * m))
+    assert [sorted(c[2]) for c in calls] == [sorted(spectral._cold_hints(coarse)),
+                                             ["below", "start"]]
     return calls[1]
+
+
+def _lapack_calls(monkeypatch, *args, **hints):
+    """smallest_eigenpair(*args, **hints) and the (dptsv, dpttrf) calls it made."""
+    counts = [0, 0]
+    inner_sv, inner_trf = _tridiag.dptsv, _tridiag.dpttrf
+
+    def sv(*a, **kw):
+        counts[0] += 1
+        return inner_sv(*a, **kw)
+
+    def trf(*a, **kw):
+        counts[1] += 1
+        return inner_trf(*a, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_tridiag, "dptsv", sv)
+        mp.setattr(_tridiag, "dpttrf", trf)
+        out = smallest_eigenpair(*args, **hints)
+    return out, tuple(counts)
 
 
 def _dptsv_calls(monkeypatch, *args, **hints):
@@ -249,7 +279,7 @@ class TestSmallestEigenpair:
         if case == "interval":
             diag, off, _ = _interval_matrix(300)
         elif case == "warm":
-            diag, off, hints = _warm_coarse_call(monkeypatch, make_hyperbolic_ball(4, 3.0), 250)
+            diag, off, hints = _warm_fine_call(monkeypatch, make_hyperbolic_ball(4, 3.0), 125)
         else:
             diag, off = (_stieltjes if case == "stieltjes" else _mixed)(rng, 250)
         lam1 = np.linalg.eigvalsh(_dense(diag, off))[0]
@@ -297,9 +327,13 @@ class TestSmallestEigenpair:
 class TestColdStart:
     @pytest.mark.parametrize("seed", range(8))
     def test_first_shift_below_lambda1(self, monkeypatch, seed):
+        # the Collatz-Wielandt value of sqrt(w / max w), spanning 1e-150..1,
+        # as the first shift of the iteration from ones (spectral's hint
+        # where the weights are spread)
         rng = np.random.default_rng(400 + seed)
         diag, off, log_mass = _weighted(rng, int(rng.integers(50, 401)))
         assert np.exp(log_mass.min()) == pytest.approx(1e-300, rel=1e-9)
+        below = collatz_wielandt(diag, off, np.exp(0.5 * (log_mass - log_mass.max())))
         lam1 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
         shifts, infos = [], []
         inner = _tridiag.dptsv
@@ -311,28 +345,52 @@ class TestColdStart:
             return out
 
         monkeypatch.setattr(_tridiag, "dptsv", spy)
-        lam, v = smallest_eigenpair(diag, off, log_mass=log_mass)
+        lam, v = smallest_eigenpair(diag, off, below=below)
         rowsum = diag + np.concatenate(([0.0], off)) + np.concatenate((off, [0.0]))
         assert infos[0] == 0 and shifts[0] <= lam1
         assert shifts[0] > rowsum.min()  # above the Gershgorin start
         assert abs(lam - lam1) <= 1e-12 * _scale(diag, off)
         assert np.all(v > 0)
 
-    @pytest.mark.parametrize("decades", [630.0, 870.0, "nan", "equal"])
+    @pytest.mark.parametrize("decades", [630.0, 870.0, "nan"])
     def test_unusable_weights_give_the_gershgorin_iteration(self, decades):
         rng = np.random.default_rng(13)
         if decades == "nan":
             diag, off, log_mass = _weighted(rng, 200)
             log_mass[5] = np.nan
-        elif decades == "equal":  # x = 1: the bound is Gershgorin's row sums
-            diag, off, log_mass = *_weighted(rng, 200)[:2], np.full(200, -3.0)
         else:
             # sqrt(w) is subnormal at 630 decades below 1 and zero at 870
             diag, off, log_mass = _weighted(rng, 200, decades)
+        op = _radial_operator(diag, off, log_mass)
+        hints = spectral._cold_hints(op)
+        assert hints == {}
         lam, v = smallest_eigenpair(diag, off)
-        lam_w, v_w = smallest_eigenpair(diag, off, log_mass=log_mass)
+        lam_w, v_w = smallest_eigenpair(diag, off, **hints)
         assert lam_w == lam
         assert v_w.tobytes() == v.tobytes()
+
+    def test_equal_weights_give_the_polynomial_start(self):
+        # x = 1: the start is 1 - t^2 at the nodes, t = d / r
+        diag, off, _ = _weighted(np.random.default_rng(13), 200)
+        op = _radial_operator(diag, off, np.full(200, -3.0))
+        t = op.grid.nodes / op.grid.profile.r_max
+        hints = spectral._cold_hints(op)
+        assert list(hints) == ["start"]
+        assert np.allclose(hints["start"], 1.0 - t * t, rtol=1e-15, atol=0)
+
+    def test_spread_weights_give_ones_and_their_shift(self, monkeypatch):
+        # a large hyperbolic ball: sqrt(mass) has mean below 0.05, so the
+        # start is ones and the first shift its Collatz-Wielandt value
+        op = spectral.discretize(make_hyperbolic_ball(2, 60.0), 0.25, 1000)
+        x = np.exp(0.5 * (op.log_mass - op.log_mass.max()))
+        assert x.mean() < 0.05 and x.min() > 0
+        hints = spectral._cold_hints(op)
+        assert list(hints) == ["below"]
+        assert hints["below"] == float(np.min(_tridiag.tridiag_apply(op.diag, op.offdiag, x) / x))
+        lam1 = eigvalsh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 0))[0]
+        assert hints["below"] <= lam1
+        lam, _ = smallest_eigenpair(op.diag, op.offdiag, **hints)
+        assert abs(lam - lam1) <= _slack(lam1, op.diag, op.offdiag)
 
     @pytest.mark.parametrize("man", [
         make_spherical_cap(2, 1.5),
@@ -340,8 +398,22 @@ class TestColdStart:
     ], ids=["cap-n2", "hypball-n3"])
     def test_cold_solve_takes_few_solves(self, monkeypatch, man):
         op = spectral.discretize(man, 0.25, 2000)
-        _, infos = _dptsv_calls(monkeypatch, op.diag, op.offdiag, log_mass=op.log_mass)
-        assert len(infos) <= 6  # from the Gershgorin start: 9
+        _, infos = _dptsv_calls(monkeypatch, op.diag, op.offdiag, **spectral._cold_hints(op))
+        assert len(infos) <= 4  # from the Gershgorin start: 8
+
+    @pytest.mark.parametrize("m", [16, 17, 500, 2001])
+    def test_interval_start_is_the_eigenvector(self, monkeypatch, m):
+        # one solve at the Collatz-Wielandt shift, which proves the lower
+        # side; from ones and Gershgorin's shift it takes four and a dpttrf
+        op = spectral.discretize(make_interval(-1.0, 2.0), 0.25, m)
+        hints = spectral._cold_hints(op)
+        assert np.allclose(hints["start"], np.sin(math.pi / (m + 1) * np.arange(1, m + 1)),
+                           rtol=0, atol=1e-15)
+        (lam, _), calls = _lapack_calls(monkeypatch, op.diag, op.offdiag, **hints)
+        assert calls == (1, 0)
+        h = op.grid.h
+        assert abs(lam - 4.0 / h**2 * math.sin(math.pi / (2 * (m + 1))) ** 2) \
+            <= _slack(lam, op.diag, op.offdiag)
 
     def test_lambda1_matches_first_eigenpair_on_catalog(self, fresh_cache):
         rng = np.random.default_rng(19)
@@ -412,7 +484,7 @@ class TestResidualCertificate:
                 for m in (16, int(rng.integers(64, 4001))):
                     op = spectral.discretize(man, float(rng.choice([0.0, 0.25])), m)
                     lam, ok = self._solve(monkeypatch, op.diag, op.offdiag,
-                                          log_mass=op.log_mass)
+                                          **spectral._cold_hints(op))
                     total += 1
                     if ok:
                         assert not self._factors_above(lam, op.diag, op.offdiag), (man, m)
@@ -430,7 +502,7 @@ class TestResidualCertificate:
         raise_by = _slack(lam0, diag, off) - blurs * blur
         inner = _tridiag.tridiag_apply
 
-        def raised(*args, **kwargs):  # no log_mass: only the residual calls it
+        def raised(*args, **kwargs):  # no start: only the residual calls it
             out = inner(*args, **kwargs)
             out[0] += raise_by
             return out
@@ -450,7 +522,7 @@ class TestResidualCertificate:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(_tridiag, "dpttrf", counting)
-        _, accepted = self._solve(monkeypatch, op.diag, op.offdiag, log_mass=op.log_mass)
+        _, accepted = self._solve(monkeypatch, op.diag, op.offdiag, **spectral._cold_hints(op))
         # the residual proves the upper side, where an inertia test at
         # lambda + slack did before; the last shift usually proves the lower one
         assert accepted
@@ -458,15 +530,14 @@ class TestResidualCertificate:
 
 
 class TestWarmStart:
-    # dptsv calls of the hinted coarse solve at m = 500, as measured; a cold
-    # solve of the same operator takes 8, 5 and 5
+    # dptsv calls of the warm fine solve at 2m = 500, as measured; a solve of
+    # the same operator from ones and Gershgorin's shift takes 7 and 5
     @pytest.mark.parametrize("man, warm", [
         (make_space_form_ball(3, 0.0, 1.0), 2),
-        (make_hyperbolic_ball(4, 3.0), 3),
-        (make_interval(0.0, 1.0), 3),
-    ], ids=["flat-ball", "hypball", "interval"])
-    def test_warm_coarse_solve_takes_fewer_solves(self, monkeypatch, man, warm):
-        diag, off, hints = _warm_coarse_call(monkeypatch, man, 500)
+        (make_hyperbolic_ball(4, 3.0), 2),
+    ], ids=["flat-ball", "hypball"])
+    def test_warm_fine_solve_takes_fewer_solves(self, monkeypatch, man, warm):
+        diag, off, hints = _warm_fine_call(monkeypatch, man, 250)
         (lam_w, _), infos_w = _dptsv_calls(monkeypatch, diag, off, **hints)
         (lam_c, _), infos_c = _dptsv_calls(monkeypatch, diag, off)
         assert len(infos_w) <= warm < len(infos_c)
@@ -480,7 +551,7 @@ class TestWarmStart:
         elif case == "stieltjes":
             diag, off = _stieltjes(np.random.default_rng(11), 250)
         else:
-            diag, off, _ = _warm_coarse_call(monkeypatch, make_hyperbolic_ball(4, 3.0), 250)
+            diag, off, _ = _warm_fine_call(monkeypatch, make_hyperbolic_ball(4, 3.0), 125)
         lam1 = np.linalg.eigvalsh(_dense(diag, off))[0]
         below = lam1 + above * abs(lam1)
         assert not _below_spectrum(diag, -np.abs(off), below)  # dptsv must refuse it
@@ -518,6 +589,82 @@ class TestWarmStart:
         assert res.lambda1 == cold[1]
         assert abs(res.richardson_estimate - (4.0 * cold[1] - cold[0]) / 3.0) \
             <= 1e-13 * abs(res.lambda1)
+
+
+def _radial_catalog(rng, n):
+    """Six seeded radial manifolds of dimension n, one of each shape."""
+    k = float(rng.uniform(0.2, 3.0))
+    return [
+        make_space_form_ball(n, 0.0, rng.uniform(0.1, 5.0)),
+        make_space_form_ball(n, k, rng.uniform(0.1, 0.95) * math.pi / math.sqrt(k)),
+        make_space_form_ball(n, -k, rng.uniform(0.1, 5.0)),
+        make_spherical_cap(n, rng.uniform(0.1, 3.0)),
+        make_hyperbolic_ball(n, 10.0 ** rng.uniform(-1.0, 1.2)),
+        make_radial_custom(n, _bumpy_warp, rng.uniform(0.5, 1.5)),
+    ]
+
+
+class TestTwoLevelSolve:
+    """A radial pair: the merged operator cold, then the fine one from the
+    prolonged coarse eigenvector."""
+
+    def test_warm_fine_solve_takes_at_most_two_dptsv_one_dpttrf(self, monkeypatch):
+        # coarse grids over the benchmark sweep's range; on coarse grids
+        # below about 200 a third dptsv occurs (2 of 840 seeded cases)
+        rng = np.random.default_rng(31)
+        for n in range(2, 9):
+            for man in _radial_catalog(rng, n):
+                m, beta = int(rng.integers(250, 2001)), float(rng.choice([0.0, 0.25]))
+                diag, off, hints = _warm_fine_call(monkeypatch, man, m, beta)
+                (lam, _), (sv, trf) = _lapack_calls(monkeypatch, diag, off, **hints)
+                assert sv <= 2 and trf <= 1, (man, m, beta, sv, trf)
+
+    # dptsv + dpttrf elements of the pair (500, 1000) at the parent revision,
+    # which solved the fine grid cold and the coarse one from it
+    @pytest.mark.parametrize("n, r, parent", [
+        (2, 100.0, 10000), (2, 300.0, 10000), (2, 900.0, 11500),
+        (3, 100.0, 10000), (3, 300.0, 10500), (3, 900.0, 10500),
+        (4, 100.0, 7500), (4, 300.0, 7500), (4, 900.0, 7000),
+        (5, 100.0, 7500), (5, 300.0, 7500), (5, 900.0, 7000),
+    ])
+    def test_large_hyperbolic_pair_does_no_more_work(self, monkeypatch, n, r, parent):
+        work = [0]
+        inner_sv, inner_trf = _tridiag.dptsv, _tridiag.dpttrf
+
+        def sv(d, *a, **kw):
+            work[0] += d.size
+            return inner_sv(d, *a, **kw)
+
+        def trf(d, *a, **kw):
+            work[0] += d.size
+            return inner_trf(d, *a, **kw)
+
+        monkeypatch.setattr(_tridiag, "dptsv", sv)
+        monkeypatch.setattr(_tridiag, "dpttrf", trf)
+        spectral._solve_pair(make_hyperbolic_ball(n, r), 0.25, 500)
+        assert work[0] <= parent
+
+    @pytest.mark.parametrize("m", [17, 63, 125, 301])
+    def test_first_eigenpair_is_the_pair_fine_value_on_odd_sizes(self, fresh_cache, m):
+        # the fine grid 2m has an odd coarse grid m; discretize(m) itself is
+        # odd, and first_eigenpair solves it cold
+        rng = np.random.default_rng(m)
+        for man in _radial_catalog(rng, int(rng.integers(2, 9))):
+            got = spectral.lambda1_beta(man, 0.25, m, tol=1.0)
+            fine = spectral.first_eigenpair(spectral.discretize(man, 0.25, 2 * m))
+            assert got.lambda1 == fine.lambda1, (man, m)
+            op = spectral.discretize(man, 0.25, m)
+            cold = smallest_eigenpair(op.diag, op.offdiag, **spectral._cold_hints(op))
+            assert spectral.first_eigenpair(op).lambda1 == cold[0], (man, m)
+
+    def test_pair_keeps_the_coarse_cold_value(self, fresh_cache):
+        # the coarse value is the cold solve of the merged operator
+        man = make_hyperbolic_ball(3, 5.0)
+        m = 200
+        pair = spectral._solve_pair(man, 0.25, m)
+        coarse = spectral._coarsen(spectral.discretize(man, 0.25, 2 * m))
+        cold = smallest_eigenpair(coarse.diag, coarse.offdiag, **spectral._cold_hints(coarse))
+        assert pair[0] == cold[0]
 
 
 @pytest.fixture
