@@ -14,9 +14,14 @@ SCRIPT = os.path.join(ROOT, "scripts", "ab_inprocess.py")
 
 @pytest.fixture(scope="module")
 def ab():
-    spec = importlib.util.spec_from_file_location("ab_inprocess", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """The script as a module; sys.path, which it extends, is restored."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("ab_inprocess", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
     return module
 
 

@@ -378,7 +378,7 @@ class TestColdStart:
         assert list(hints) == ["start"]
         assert np.allclose(hints["start"], 1.0 - t * t, rtol=1e-15, atol=0)
 
-    def test_spread_weights_give_ones_and_their_shift(self, monkeypatch):
+    def test_spread_weights_give_ones_and_their_shift(self):
         # a large hyperbolic ball: sqrt(mass) has mean below 0.05, so the
         # start is ones and the first shift its Collatz-Wielandt value
         op = spectral.discretize(make_hyperbolic_ball(2, 60.0), 0.25, 1000)
