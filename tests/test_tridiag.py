@@ -619,8 +619,8 @@ class TestTwoLevelSolve:
                 (lam, _), (sv, trf) = _lapack_calls(monkeypatch, diag, off, **hints)
                 assert sv <= 2 and trf <= 1, (man, m, beta, sv, trf)
 
-    # dptsv + dpttrf elements of the pair (500, 1000) at the parent revision,
-    # which solved the fine grid cold and the coarse one from it
+    # dptsv + dpttrf rows of the pair (500, 1000) as measured when the pair
+    # solved its fine grid cold and the coarse one from it
     @pytest.mark.parametrize("n, r, parent", [
         (2, 100.0, 10000), (2, 300.0, 10000), (2, 900.0, 11500),
         (3, 100.0, 10000), (3, 300.0, 10500), (3, 900.0, 10500),
