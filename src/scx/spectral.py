@@ -385,12 +385,19 @@ def eigen_product(factors, m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> S
 
 
 def _add_factors(results: list[SpectralResult]) -> SpectralResult:
-    """Spectral additivity: one result for a product from its factors' results."""
+    """Spectral additivity: one result for a product from its factors' results.
+
+    The factors' absolute bounds add, so the certificate of the sum is
+    sum(cert_i |lambda_i|) / |sum lambda_i|, which stays honest where the
+    factors' eigenvalues nearly cancel.
+    """
+    lam = sum(r.lambda1 for r in results)
+    bound = sum(r.certificate * abs(r.lambda1) for r in results)
     return SpectralResult(
-        lambda1=sum(r.lambda1 for r in results), eigenfunction=None,
+        lambda1=lam, eigenfunction=None,
         grid_size=max(r.grid_size for r in results), beta=results[0].beta,
         richardson_estimate=sum(r.richardson_estimate for r in results),
-        certificate=max(r.certificate for r in results),
+        certificate=bound / max(abs(lam), 1e-300),
     )
 
 

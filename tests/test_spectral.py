@@ -469,6 +469,23 @@ class TestEigenProduct:
                       800).sc_stab
         assert got == pytest.approx(4 * math.pi**2 + 10.0, rel=1e-4)
 
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4])
+    def test_cancelling_product_within_its_certificate(self, gap):
+        # lambda_1 of the hyperbolic 3-ball at r = 10 is -0.40130...; an
+        # interval tuned against it leaves a sum near gap: the factors'
+        # absolute bounds add, where the largest relative one understates it
+        hyp = make_hyperbolic_ball(3, 10.0)
+        length = math.pi / math.sqrt(-closed_form(hyp) + gap)
+        man = product([hyp, make_interval(0.0, length)])
+        exact = closed_form(man)
+        assert exact == pytest.approx(gap, rel=1e-9)
+        res = lambda1_beta(man, 0.25, 500)
+        assert abs(res.lambda1 - exact) <= res.certificate * abs(res.lambda1)
+        parts = [lambda1_beta(f, 0.25, 500) for f in man.factors]
+        bound = sum(p.certificate * abs(p.lambda1) for p in parts)
+        assert res.certificate * abs(res.lambda1) == pytest.approx(bound, rel=1e-12)
+        assert res.certificate > max(p.certificate for p in parts)
+
     def test_spectral_results_rejected(self):
         # eigen_product takes manifolds only; product() refuses solved results
         a = lambda1_beta(make_interval(0, 1), 0.25, 100)
