@@ -1,48 +1,69 @@
 """Dirichlet eigensolves of -Laplace + beta*Sc on intervals and radial manifolds.
 
-The generalized problem -(A u')' + beta sigma A u = lambda A u is discretized
-by a conservative finite-volume scheme and symmetrized by the diagonal scaling
-sqrt(A(d_i) h), giving a symmetric tridiagonal Stieltjes matrix (negative
-off-diagonal), so the first eigenvector is simple and one-signed.
+Each operator is a symmetric tridiagonal Stieltjes matrix (negative
+off-diagonal), so the first eigenvector is simple and one-signed.  The input
+decides the scheme; there is no option.
 
-Grids: intervals use interior nodes a+h..b-h with Dirichlet closures at both
-ends; ball-type profiles use the staggered grid d_i = (i-1/2)h, which avoids
-the coordinate singularity at the center (the center face carries zero flux,
-A(0) = 0) and puts a second-order Dirichlet closure at the outer face.
+Liouville normal form: balls, caps and hyperbolic balls of dimension n >= 3.
+With v = sn^((n-1)/2) u the radial problem is -v'' + Q v = lambda v,
 
-Volume densities are handled in log space so that steep warps (sinh^(n-1) on
-large hyperbolic balls) never overflow: matrix entries only ever involve
-ratios of neighboring densities.
+    Q = beta sigma + (n-1)(n-3)/4 (sn'/sn)^2 - (n-1)/2 kappa,
+
+sn'/sn being the drift over n - 1 (cot, 1/d or coth: finite at every node,
+so no density is evaluated and nothing overflows on large hyperbolic balls).
+It is discretized by 3-point differences at the staggered nodes
+d_i = (i-1/2)h: diagonal 2/h^2 + Q(d_i), off-diagonal -1/h^2, and 1/h^2 more
+in the first and last rows, from the ghost values -v (v odd about d = 0; the
+Dirichlet face at d = r).  At n = 3, Q is constant and the discrete
+eigenvector is sin(pi (i-1/2)/m).  The node weight is A(d_i) h, so
+v = sqrt(weight) u, computed only where it is read (unweight).  Next to the
+centre the rows are not consistent node by node (v ~ d^((n-1)/2)), so
+unweighted samples there are poor for n >= 4; finite_volume_operator serves
+readers of function samples and pointwise quotients.  At n = 4 (v ~ d^(3/2))
+the Richardson estimate gains less than elsewhere.
+
+Finite volumes: intervals, n = 2 space forms and custom profiles.  The
+generalized problem -(A u')' + beta sigma A u = lambda A u is discretized
+conservatively and symmetrized by sqrt(mass), with cell masses integrated
+exactly in log space, so steep warps never overflow: entries only involve
+ratios of neighboring densities.  n = 2 stays here because it did not
+converge in normal form (v ~ d^(1/2), Q ~ -1/(4 d^2)).  Intervals use
+interior nodes a+h..b-h with Dirichlet closures at both ends; radial
+profiles the staggered grid, whose centre face carries zero flux (A(0) = 0)
+and whose Dirichlet closure at the outer face is second order.
 
 Products and boxes are solved only by lambda1_beta, which adds its factors'
-results (spectral additivity); sc_stab and eigen_product call it.  The
-stabilized curvature is 4 lambda_1 at beta = 1/4 (SpectralResult.sc_stab).
-Results carry a two-grid convergence certificate and a Richardson
-extrapolation (4 lam(2m) - lam(m))/3; where 4 lam(2m) overflows, it is
-formed as lam(2m) + (lam(2m) - lam(m))/3, and a value or product sum that
-still overflows raises NumericalFailureError.
+results (spectral additivity) and their absolute bounds; sc_stab and
+eigen_product call it.  The stabilized curvature is 4 lambda_1 at
+beta = 1/4 (SpectralResult.sc_stab).  Results carry a two-grid convergence
+certificate and a Richardson extrapolation (4 lam(2m) - lam(m))/3; where
+4 lam(2m) overflows, it is formed as lam(2m) + (lam(2m) - lam(m))/3, and a
+value or product sum that still overflows raises NumericalFailureError.
 
 lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
 lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
 _CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid only, and
-_solve does the pair coarse first: _coarsen merges the fine cells in pairs,
-whose nodes and faces are bitwise those of discretize at m and whose masses
-are the same cell integrals by an 8-point composite rule; the merged
-operator is solved cold, and the fine one from that eigenvector, prolonged
-to both halves of each cell, and from a first shift at the coarse value, so
-that it takes one or two inverse-iteration steps.  first_eigenpair solves
-through the same _solve, so lambda1 is always the value first_eigenpair
-gives at 2m, whatever was solved before, and the coarse value is a cold
-solve of the merged operator.  Interval grids do not nest, so an interval
-discretizes both grids and solves each cold, as first_eigenpair solves an
-operator of odd size.  A cold solve starts from _cold_hints: the exact
-discrete eigenvector on intervals, and on radial operators the node
-weights times 1 - t^2.  An eigenfunction comes from
-first_eigenpair(discretize(man, beta, m)).
+_solve does the pair coarse first: _coarsen gives the operator at m from the
+fine one (normal form: Q at the coarse nodes; finite volumes: the fine cells
+merged in pairs, whose masses are the same cell integrals by an 8-point
+composite rule), bitwise on the nodes of discretize at m.  It is solved
+cold, and the fine one from that eigenvector, prolonged (normal form:
+linearly, weights 3/4 and 1/4; finite volumes: to both halves of each cell)
+and from a first shift at the coarse value, so that it takes one or two
+inverse-iteration steps.  first_eigenpair solves through the same _solve,
+so lambda1 is always the value first_eigenpair gives at 2m, whatever was
+solved before, and the coarse value is a cold solve of the coarse operator.
+Interval grids do not nest, so an interval discretizes both grids and
+solves each cold, as first_eigenpair solves an operator of odd size.  A
+cold solve starts from _cold_hints: the exact discrete eigenvector on
+intervals and n = 3 normal forms (a sine at n > 3), and on finite-volume
+radial operators the node weights times 1 - t^2.  An eigenfunction comes
+from first_eigenpair(discretize(man, beta, m)), or, with samples accurate
+next to the centre, from first_eigenpair(finite_volume_operator(...)).
 
-Only what a result reads is computed: discretize never evaluates the drift
-A'/A, which Grid.drift computes from the profile on first read (the warped
-curvature fields are its only readers).
+Only what a result reads is computed: finite volumes never evaluate the
+drift A'/A, which Grid.drift computes from the profile on first read (the
+warped curvature fields read it, and the normal form at n > 3).
 """
 
 from __future__ import annotations
@@ -115,7 +136,21 @@ class DiscreteOperator:
     diag: np.ndarray
     offdiag: np.ndarray
     beta: float
-    log_mass: np.ndarray  # log(A(d_i) h), the volume weight per node
+    cell_log_mass: np.ndarray | None = None  # finite volumes: log of each cell mass
+
+    @cached_property
+    def log_mass(self) -> np.ndarray:
+        """log of the volume weight per node: the cell mass on finite volumes,
+        log(A(d_i) h) in normal form, there computed on first read."""
+        if self.cell_log_mass is not None:
+            return self.cell_log_mass
+        grid = self.grid
+        return np.asarray(grid.profile.log_density(grid.nodes), dtype=float) + math.log(grid.h)
+
+    @property
+    def normal_form(self) -> bool:
+        """True for the Liouville normal form, which has no cell masses."""
+        return self.cell_log_mass is None
 
     def unweight(self, v: np.ndarray) -> np.ndarray:
         """Map a symmetrized eigenvector back to function samples u = v/sqrt(m)."""
@@ -196,10 +231,31 @@ def _cell_log_masses(prof, m: int, h: float) -> np.ndarray:
 
 
 def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
-    """Symmetric tridiagonal discretization of -Lap + beta*sigma."""
+    """Symmetric tridiagonal discretization of -Lap + beta*sigma: Liouville
+    normal form on space forms of dimension 3 and up, finite volumes on
+    everything else."""
     grid = operator_grid(man, m)
-    h = grid.h
-    if man.kind == Kind.INTERVAL:
+    if isinstance(grid.profile, SpaceForm) and grid.profile.dim >= 3:
+        return _normal_operator(grid, beta)
+    return _finite_volumes(grid, beta)
+
+
+def finite_volume_operator(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
+    """The finite-volume discretization of -Lap + beta*sigma on any interval
+    or radial manifold.
+
+    Its rows are consistent node by node: with v = sqrt(mass) u, (T v)_i / v_i
+    is the discrete (-Lap u)/u + beta sigma at every node, and unweight
+    recovers u to O(h^2) everywhere.  The normal form's rows are not, next
+    to the centre: there v ~ d^((n-1)/2), and u = v / sn^((n-1)/2) divides
+    by it.  Readers of function samples and pointwise quotients use this.
+    """
+    return _finite_volumes(operator_grid(man, m), beta)
+
+
+def _finite_volumes(grid: Grid, beta: float) -> DiscreteOperator:
+    h, m = grid.h, grid.size
+    if grid.profile is None:
         diag = np.full(m, 2.0 / h**2) + beta * grid.sigma
         off = np.full(m - 1, -1.0 / h**2)
         log_mass = np.full(m, math.log(h))
@@ -211,16 +267,44 @@ def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
     """The radial operator on cells of twice the width, from op's data.
 
     Its nodes are the even-indexed faces of op and its faces the odd-indexed
-    ones, bitwise those of discretize at half the size; each cell mass is
-    the sum of its two halves, the same integral by an 8-point composite
-    rule, exact wherever discretize's 4-point rule is.
+    ones, bitwise those of discretize at half the size.  In normal form it
+    is discretize's operator at half the size; on finite volumes each cell
+    mass is the sum of its two halves, the same integral by an 8-point
+    composite rule, exact wherever discretize's 4-point rule is.
     """
     fine = op.grid
     nodes = fine.h * np.arange(1, fine.size + 1, 2)
     grid = Grid(nodes=nodes, h=2 * fine.h, profile=fine.profile,
                 sigma=np.asarray(fine.profile.scalar_curv(nodes), dtype=float))
+    if op.normal_form:
+        return _normal_operator(grid, op.beta)
     lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
     return _radial_operator(grid, op.beta, fine.log_faces[1::2], lM)
+
+
+def _normal_operator(grid: Grid, beta: float) -> DiscreteOperator:
+    """-v'' + Q v on v = sn^((n-1)/2) u by 3-point differences at the nodes.
+
+    Q = beta sigma + (n-1)(n-3)/4 (sn'/sn)^2 - (n-1)/2 kappa, with sn'/sn
+    the profile's drift over n - 1 (cot, 1/d or coth: finite at every node).
+    The ghost values are -v at both ends: v is odd about d = 0, and the
+    Dirichlet face lies at d = r, half a cell beyond the last node.
+    """
+    prof, h = grid.profile, grid.h
+    n = prof.dim
+    inv_h2 = 1.0 / h**2
+    # Q overflows on very high-dimensional balls or at huge |beta|; the
+    # solver refuses a non-finite entry with a NumericalFailureError
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = beta * grid.sigma
+        diag += 2.0 * inv_h2 - 0.5 * (n - 1) * prof.kappa
+        if n > 3:  # at n = 3 Q is constant
+            cot = grid.drift / (n - 1)
+            diag += 0.25 * (n - 1) * (n - 3) * (cot * cot)
+    diag[0] += inv_h2
+    diag[-1] += inv_h2
+    off = np.full(grid.size - 1, -inv_h2)
+    return DiscreteOperator(grid, diag, off, float(beta))
 
 
 def _radial_operator(grid: Grid, beta: float, lF: np.ndarray,
@@ -250,19 +334,24 @@ def _cold_hints(op: DiscreteOperator) -> dict:
     """Hints for a cold solve of op: a positive start vector shaped like its
     first eigenvector, whose Collatz-Wielandt value is the first shift.
 
-    Intervals: sin(pi i / (m + 1)), the exact discrete eigenvector.  Radial
-    operators: x (1 - t^2) with x = sqrt(mass / max mass), the symmetrized
-    samples of a function that vanishes at t = 1, and t the node over r.
+    Intervals: sin(pi i / (m + 1)), the exact discrete eigenvector.  Normal
+    forms: sin(pi (i - 1/2) / m), exact at n = 3, and a sine-shaped start
+    for n > 3.  Finite-volume radial operators: x (1 - t^2) with
+    x = sqrt(mass / max mass), the symmetrized samples of a function that
+    vanishes at t = 1, and t the node over r.
     Where x is mostly tiny (mean below 0.05: large hyperbolic balls), the
     eigenvector is spread far wider than x; the start is then ones, and x
     gives only the first shift.  Where the vector underflows, or the masses
     are not finite, there are no hints: ones and Gershgorin's shift.
     """
     m = op.grid.size
-    if op.grid.profile is None:
+    if op.grid.profile is None or op.normal_form:
         # half of it, mirrored: sin near pi would lose the relative accuracy
         # of the small entries, and with it a first shift within the slack
-        half = np.sin((math.pi / (m + 1)) * np.arange(1, (m + 1) // 2 + 1))
+        if op.grid.profile is None:
+            half = np.sin((math.pi / (m + 1)) * np.arange(1, (m + 1) // 2 + 1))
+        else:
+            half = np.sin((math.pi / m) * (np.arange((m + 1) // 2) + 0.5))
         return {"start": np.concatenate((half, half[:m // 2][::-1]))}
     with np.errstate(under="ignore"):
         x = np.exp(0.5 * (op.log_mass - op.log_mass.max()))
@@ -278,21 +367,32 @@ def _cold_hints(op: DiscreteOperator) -> dict:
 
 
 def _solve(op: DiscreteOperator):
-    """(lambda_1, v) of op, and lambda_1 of its merged operator or None.
+    """(lambda_1, v) of op, and lambda_1 of its coarse operator or None.
 
     An even radial operator is solved on two levels: _coarsen(op) cold, then
-    op from the coarse eigenvector prolonged to both halves of each cell
-    (times the square root of the mass ratio, so that the function samples
-    are piecewise constant) and from a first shift at the coarse value; the
-    solver falls back if that shift lies above lambda_1.  Intervals and odd
-    sizes are solved cold.
+    op from the coarse eigenvector, prolonged, and from a first shift at the
+    coarse value; the solver falls back if that shift lies above lambda_1.
+    The prolongation is linear in normal form, with the ghost -v at both
+    ends; on finite volumes it copies each value to both halves of its cell
+    times the square root of the mass ratio, so that the function samples
+    are piecewise constant.  Intervals and odd sizes are solved cold.
     """
     if op.grid.profile is None or op.grid.size % 2:
         return (*smallest_eigenpair(op.diag, op.offdiag, **_cold_hints(op)), None)
     coarse = _coarsen(op)
     lam_c, v_c = smallest_eigenpair(coarse.diag, coarse.offdiag, **_cold_hints(coarse))
-    start = np.repeat(v_c, 2)
-    start *= np.exp(0.5 * (op.log_mass - np.repeat(coarse.log_mass, 2)))
+    if op.normal_form:
+        # linear, with the ghost -v at both ends: the fine nodes lie a
+        # quarter of a coarse cell either side of each coarse node
+        start = np.repeat(0.75 * v_c, 2)
+        quarter = 0.25 * v_c
+        start[2::2] += quarter[:-1]
+        start[1:-1:2] += quarter[1:]
+        start[0] -= quarter[0]
+        start[-1] -= quarter[-1]
+    else:
+        start = np.repeat(v_c, 2)
+        start *= np.exp(0.5 * (op.log_mass - np.repeat(coarse.log_mass, 2)))
     return (*smallest_eigenpair(op.diag, op.offdiag, start=start, below=lam_c), lam_c)
 
 

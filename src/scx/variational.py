@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .geometry import ModelManifold
-from .spectral import DEFAULT_GRID, discretize, first_eigenpair, lambda1_beta
+from .spectral import DEFAULT_GRID, finite_volume_operator, first_eigenpair, lambda1_beta
 from .warped import theta_form, theta_form_on, warp_grid
 
 
@@ -75,8 +75,9 @@ def maximize(
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
     eigen_value = 4.0 * lambda1_beta(base, 0.25, max(m, DEFAULT_GRID // 4)).lambda1
-    # Eigenfunction for the trial family is solved on the trial grid itself.
-    op = discretize(base, 0.25, m)
+    # Eigenfunction for the trial family is solved on the trial grid itself,
+    # by finite volumes, whose samples are accurate next to the centre too.
+    op = finite_volume_operator(base, 0.25, m)
     eig = np.clip(first_eigenpair(op).eigenfunction, 1e-12, None)
     # every trial is evaluated on one grid, so its drift is computed once
     grid = warp_grid(base, m)

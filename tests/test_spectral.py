@@ -1,13 +1,15 @@
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from scx import spectral, warped
 from scx._oracle2d import five_point_laplacian, rectangle_lambda1
-from scx.bessel import first_zero
+from scx.bessel import bessel_j, first_zero
 from scx.closed_forms import closed_form
+from scx.comparison import hyperbolic_c_from_lambda, hyperbolic_c_window
 from scx.errors import (
     InvalidKindError,
     InvalidParameterError,
@@ -32,6 +34,7 @@ from scx.spectral import (
     discretize,
     eigen_product,
     exhaustion_limit,
+    finite_volume_operator,
     first_eigenpair,
     lambda1_beta,
     operator_grid,
@@ -79,7 +82,12 @@ def _cell_log_masses_reference(prof, m, h):
     return peak + np.log(np.sum(np.exp(logs - peak[:, None]), axis=1))
 
 
+# the n = 2 space forms and custom profiles are discretized by finite
+# volumes; _cell_log_masses and _coarsen read any profile
 _MASS_CASES = {
+    "flat disk": lambda: make_space_form_ball(2, 0.0, 1.0),
+    "hyperbolic 2-ball r=600": lambda: make_hyperbolic_ball(2, 600.0),
+    "2-cap angle 2": lambda: make_spherical_cap(2, 2.0),
     "flat 8-ball": lambda: make_space_form_ball(8, 0.0, 1.0),
     "hyperbolic 5-ball r=3": lambda: make_hyperbolic_ball(5, 3.0),
     "hyperbolic 3-ball r=600": lambda: make_hyperbolic_ball(3, 600.0),
@@ -124,6 +132,10 @@ class TestCoarsen:
         assert np.array_equal(coarse.grid.sigma, direct.grid.sigma)
         assert np.array_equal(fine.grid.log_faces[1::2], direct.grid.log_faces)
         assert coarse.beta == direct.beta
+        assert coarse.normal_form == direct.normal_form
+        if direct.normal_form:  # Q at the coarse nodes: discretize at m itself
+            assert np.array_equal(coarse.diag, direct.diag)
+            assert np.array_equal(coarse.offdiag, direct.offdiag)
 
     @pytest.mark.parametrize("m", [500, 2000])
     @pytest.mark.parametrize("case", sorted(_MASS_CASES))
@@ -135,8 +147,10 @@ class TestCoarsen:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_exact_where_the_four_point_rule_is(self, n):
-        # A = d^(n-1) has degree <= 7: both rules integrate it exactly
-        man = make_space_form_ball(n, 0.0, 1.3)
+        # A = d^(n-1) has degree <= 7: both rules integrate it exactly; the
+        # flat warp as a custom profile, which finite volumes discretize
+        man = make_radial_custom(n, lambda d: d, 1.3, warp_prime=np.ones_like,
+                                 scalar_curv=np.zeros_like)
         coarse = spectral._coarsen(discretize(man, 0.25, 800))
         direct = discretize(man, 0.25, 400)
         assert np.allclose(coarse.log_mass, direct.log_mass, rtol=0, atol=1e-13)
@@ -157,12 +171,27 @@ class TestDriftOnDemand:
         return calls
 
     def test_solve_path_never_evaluates_drift(self, drift_calls):
-        for man in (make_space_form_ball(3, 0.0, 1.0), make_hyperbolic_ball(4, 2.0),
+        # finite volumes: n = 2 space forms and custom profiles
+        for man in (make_space_form_ball(2, 0.0, 1.0), make_hyperbolic_ball(2, 2.0),
                     make_spherical_cap(2, 1.0),
                     make_radial_custom(3, np.sin, 1.2, warp_prime=np.cos)):
             discretize(man, 0.25, 128)
             lambda1_beta(man, 0.25, 96)
         assert drift_calls == []
+
+    def test_normal_form_reads_the_grid_drift_once(self, drift_calls, monkeypatch):
+        # Q takes sn'/sn from the grid's cached drift, and only where
+        # (n-1)(n-3) is not zero
+        monkeypatch.setattr(spectral, "_cache", OrderedDict())
+        discretize(make_space_form_ball(3, 0.0, 1.0), 0.25, 128)
+        lambda1_beta(make_hyperbolic_ball(3, 2.0), 0.25, 96)
+        assert drift_calls == []
+        op = discretize(make_hyperbolic_ball(4, 2.0), 0.25, 128)
+        assert drift_calls == [128]
+        assert np.array_equal(op.grid.drift, 3.0 / np.tanh(op.grid.nodes))
+        assert drift_calls == [128]
+        lambda1_beta(make_hyperbolic_ball(4, 2.0), 0.25, 96)
+        assert drift_calls == [128, 192, 96]  # the fine grid, then the coarse one
 
     def test_warped_fields_read_eager_values(self, drift_calls):
         man = make_hyperbolic_ball(3, 2.0)
@@ -395,17 +424,27 @@ class TestSolveParameters:
             lambda1_beta(product([hyp, hyp]), beta, 64)
 
     @pytest.mark.parametrize("man, beta", [
-        (make_space_form_ball(1_000_000, 0.0, 1.0), 0.25),
-        (make_hyperbolic_ball(10**8, 1.0), 0.25),
+        (make_radial_custom(1_000_000, lambda d: d, 1.0, warp_prime=np.ones_like,
+                            scalar_curv=np.zeros_like), 0.25),
+        (make_radial_custom(10**8, np.sinh, 1.0, warp_prime=np.cosh), 0.25),
         (make_hyperbolic_ball(10**8, 1.0), 1e300),  # inf + (-inf) on the diagonal
     ], ids=["flat", "hyperbolic", "hyperbolic-huge-beta"])
     def test_overflowing_operator_entries_fail_without_warnings(self, man, beta):
-        # the face/mass ratios overflow; the solver's check reports it, and no
-        # RuntimeWarning escapes on the way
+        # finite volumes: the face/mass ratios of the custom warps d and
+        # sinh(d) overflow; normal form: beta sigma overflows; the solver's
+        # check reports it, and no RuntimeWarning escapes on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError, match="non-finite diag"):
                 lambda1_beta(man, beta, 400)
+
+    @pytest.mark.filterwarnings("error")
+    def test_normal_form_keeps_huge_dimensions_finite(self):
+        # Q ~ n^2 / (4 d^2) stays finite where the finite-volume ratios of
+        # the same ball overflow; the value lies within its certificate
+        man = make_space_form_ball(1_000_000, 0.0, 1.0)
+        res = lambda1_beta(man, 0.25, 400)
+        assert abs(res.lambda1 - closed_form(man)) <= res.certificate * abs(res.lambda1)
 
     def test_negative_curvature_ball_at_the_radius_cap(self):
         # the kappa < 0 ball is the hyperbolic ball of radius sqrt(-kappa) r,
@@ -551,3 +590,64 @@ class TestMonotonicity:
             tol = 2 * (ri.certificate + ro.certificate) * max(
                 abs(ri.sc_stab), abs(ro.sc_stab)) + 1e-8
             assert ri.sc_stab >= ro.sc_stab - tol
+
+
+# closed forms at every grid: flat n-balls, hemispheres, a curved 3-ball and
+# a large hyperbolic 3-ball
+_CLOSED_FORM_CATALOG = [make_space_form_ball(n, 0.0, 1.0) for n in (4, 5, 6, 12, 40)] + [
+    make_spherical_cap(4, math.pi / 2), make_spherical_cap(30, math.pi / 2),
+    make_space_form_ball(3, -1.0, 1.0), make_hyperbolic_ball(3, 300.0)]
+
+
+class TestNormalForm:
+    """Space forms of dimension n >= 3: -v'' + Q v on v = sn^((n-1)/2) u."""
+
+    @pytest.mark.parametrize("man", _CLOSED_FORM_CATALOG, ids=lambda man: man.describe())
+    def test_error_within_certificate_at_every_grid(self, man):
+        exact = closed_form(man)
+        for m in (16, 32, 64, 125, 250, 500, 1000, 2000):
+            res = lambda1_beta(man, 0.25, m, tol=1.0)  # reads the value and its bound
+            assert abs(res.lambda1 - exact) <= res.certificate * abs(res.lambda1), m
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_large_hyperbolic_balls_inside_the_proven_window(self, n):
+        for r in (100.0, 300.0, 516.7, 1000.0):
+            lo, hi = hyperbolic_c_window(n, r)
+            for m in (500, 4000):
+                res = lambda1_beta(make_hyperbolic_ball(n, r), 0.0, m)
+                c = hyperbolic_c_from_lambda(n, r, res.lambda1)
+                slack = 4.0 * res.certificate * abs(res.lambda1) / (n - 1) ** 2
+                assert lo - slack <= c <= hi + slack, (r, m, c, lo, hi)
+
+    @pytest.mark.parametrize("m", [250, 301])
+    def test_lambda1_is_first_eigenpair_at_twice_the_grid(self, m, monkeypatch):
+        monkeypatch.setattr(spectral, "_cache", OrderedDict())
+        rng = np.random.default_rng(m)
+        for n in range(3, 9):
+            for man in (make_hyperbolic_ball(n, 10.0 ** rng.uniform(-1.0, 3.0)),
+                        make_spherical_cap(n, rng.uniform(0.1, 3.0)),
+                        make_space_form_ball(n, 0.0, rng.uniform(0.1, 5.0))):
+                got = lambda1_beta(man, 0.25, m, tol=1.0).lambda1
+                assert got == first_eigenpair(discretize(man, 0.25, 2 * m)).lambda1, man
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_function_samples(self, n):
+        # log_mass is log(A(d_i) h), so unweight reads the same function as
+        # finite volumes away from the centre; next to it, where v ~ d^k,
+        # k = (n-1)/2, only finite volumes sample u to O(h^2)
+        man = make_space_form_ball(n, 0.0, 1.0)
+        nu = n / 2 - 1
+        j = first_zero(nu).j
+        ops = {"normal": discretize(man, 0.0, 1000),
+               "fv": finite_volume_operator(man, 0.0, 1000)}
+        d = ops["fv"].grid.nodes
+        exact = bessel_j(nu, j * d) / d**nu
+        exact /= exact.max()
+        u = {k: first_eigenpair(op).eigenfunction for k, op in ops.items()}
+        assert np.max(np.abs(u["fv"] - exact)) < 1e-5
+        # unweight scales by the largest sample, which lies next to the centre
+        far = d > 0.1
+        shape = u["normal"][far] * (exact[far] @ exact[far]) / (u["normal"][far] @ exact[far])
+        assert np.max(np.abs(shape - exact[far])) < 1e-5
+        assert np.array_equal(ops["normal"].log_mass,
+                              (n - 1) * np.log(d) + math.log(ops["normal"].grid.h))

@@ -67,8 +67,8 @@ def _mixed(rng, m):
 
 def _radial_operator(diag, off, log_mass):
     """A DiscreteOperator with the given matrix and log masses on the grid of
-    a flat 3-ball of radius 1."""
-    grid = spectral.operator_grid(make_space_form_ball(3, 0.0, 1.0), diag.size)
+    a flat disk of radius 1, which finite volumes discretize."""
+    grid = spectral.operator_grid(make_space_form_ball(2, 0.0, 1.0), diag.size)
     return spectral.DiscreteOperator(grid, diag, off, 0.25, log_mass)
 
 
@@ -395,7 +395,9 @@ class TestColdStart:
     @pytest.mark.parametrize("man", [
         make_spherical_cap(2, 1.5),
         make_hyperbolic_ball(3, 2.0),
-    ], ids=["cap-n2", "hypball-n3"])
+        make_hyperbolic_ball(2, 2.0),
+        make_radial_custom(3, _bumpy_warp, 1.0),
+    ], ids=["cap-n2", "hypball-n3", "hypball-n2", "custom-n3"])
     def test_cold_solve_takes_few_solves(self, monkeypatch, man):
         op = spectral.discretize(man, 0.25, 2000)
         _, infos = _dptsv_calls(monkeypatch, op.diag, op.offdiag, **spectral._cold_hints(op))
@@ -414,6 +416,24 @@ class TestColdStart:
         h = op.grid.h
         assert abs(lam - 4.0 / h**2 * math.sin(math.pi / (2 * (m + 1))) ** 2) \
             <= _slack(lam, op.diag, op.offdiag)
+
+    @pytest.mark.parametrize("man, beta, m", [
+        (make_space_form_ball(3, 0.0, 1.0), 0.25, 500),
+        (make_hyperbolic_ball(3, 300.0), 0.25, 2000),
+        (make_spherical_cap(3, 2.5), 0.0, 37),
+        (make_space_form_ball(3, -2.0, 7.0), 1.0, 1000),
+    ], ids=["flat", "hypball-300", "cap-odd", "curved"])
+    def test_three_dimensional_normal_form_start_is_the_eigenvector(
+            self, monkeypatch, man, beta, m):
+        # Q = beta sigma - kappa is constant and sin(pi (i - 1/2)/m) is the
+        # exact discrete eigenvector, the cold start
+        op = spectral.discretize(man, beta, m)
+        kappa = man.profile.kappa
+        exact = 4.0 / op.grid.h**2 * math.sin(math.pi / (2 * m)) ** 2 + 6 * beta * kappa - kappa
+        (lam, _), calls = _lapack_calls(monkeypatch, op.diag, op.offdiag,
+                                        **spectral._cold_hints(op))
+        assert calls == (1, 0)
+        assert abs(lam - exact) <= _slack(exact, op.diag, op.offdiag)
 
     def test_lambda1_matches_first_eigenpair_on_catalog(self, fresh_cache):
         rng = np.random.default_rng(19)
@@ -513,7 +533,6 @@ class TestResidualCertificate:
         assert lam == lam0  # the value never depends on which proof ran
 
     def test_cold_radial_solve_takes_at_most_one_dpttrf(self, monkeypatch):
-        op = spectral.discretize(make_hyperbolic_ball(3, 2.0), 0.25, 2000)
         calls = []
         inner = _tridiag.dpttrf
 
@@ -522,20 +541,29 @@ class TestResidualCertificate:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(_tridiag, "dpttrf", counting)
-        _, accepted = self._solve(monkeypatch, op.diag, op.offdiag, **spectral._cold_hints(op))
-        # the residual proves the upper side, where an inertia test at
-        # lambda + slack did before; the last shift usually proves the lower one
-        assert accepted
-        assert len(calls) <= 1
+        # finite volumes (n = 2) and normal form (n = 3)
+        for n in (2, 3):
+            calls.clear()
+            op = spectral.discretize(make_hyperbolic_ball(n, 2.0), 0.25, 2000)
+            _, accepted = self._solve(monkeypatch, op.diag, op.offdiag,
+                                      **spectral._cold_hints(op))
+            # the residual proves the upper side, where an inertia test at
+            # lambda + slack did before; the last shift usually proves the
+            # lower one
+            assert accepted, n
+            assert len(calls) <= 1, n
 
 
 class TestWarmStart:
     # dptsv calls of the warm fine solve at 2m = 500, as measured; a solve of
-    # the same operator from ones and Gershgorin's shift takes 7 and 5
+    # the same operator from ones and Gershgorin's shift takes 8 on the
+    # finite-volume disk and hyperbolic 2-ball, 4 and 5 in normal form
     @pytest.mark.parametrize("man, warm", [
-        (make_space_form_ball(3, 0.0, 1.0), 2),
-        (make_hyperbolic_ball(4, 3.0), 2),
-    ], ids=["flat-ball", "hypball"])
+        (make_space_form_ball(2, 0.0, 1.0), 2),
+        (make_hyperbolic_ball(2, 3.0), 2),
+        (make_space_form_ball(3, 0.0, 1.0), 1),
+        (make_hyperbolic_ball(4, 3.0), 1),
+    ], ids=["flat-ball", "hypball", "normal-form-flat-ball", "normal-form-hypball"])
     def test_warm_fine_solve_takes_fewer_solves(self, monkeypatch, man, warm):
         diag, off, hints = _warm_fine_call(monkeypatch, man, 250)
         (lam_w, _), infos_w = _dptsv_calls(monkeypatch, diag, off, **hints)
@@ -658,13 +686,16 @@ class TestTwoLevelSolve:
             assert spectral.first_eigenpair(op).lambda1 == cold[0], (man, m)
 
     def test_pair_keeps_the_coarse_cold_value(self, fresh_cache):
-        # the coarse value is the cold solve of the merged operator
-        man = make_hyperbolic_ball(3, 5.0)
+        # the coarse value is the cold solve of the merged operator (finite
+        # volumes, n = 2) or of the normal form at m (n = 3)
         m = 200
-        pair = spectral._solve_pair(man, 0.25, m)
-        coarse = spectral._coarsen(spectral.discretize(man, 0.25, 2 * m))
-        cold = smallest_eigenpair(coarse.diag, coarse.offdiag, **spectral._cold_hints(coarse))
-        assert pair[0] == cold[0]
+        for n in (2, 3):
+            man = make_hyperbolic_ball(n, 5.0)
+            pair = spectral._solve_pair(man, 0.25, m)
+            coarse = spectral._coarsen(spectral.discretize(man, 0.25, 2 * m))
+            cold = smallest_eigenpair(coarse.diag, coarse.offdiag,
+                                      **spectral._cold_hints(coarse))
+            assert pair[0] == cold[0], n
 
 
 @pytest.fixture

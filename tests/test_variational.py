@@ -11,7 +11,13 @@ from scx.geometry import (
     make_space_form_ball,
     make_spherical_cap,
 )
-from scx.spectral import discretize, first_eigenpair, lambda1_beta, operator_grid
+from scx.spectral import (
+    discretize,
+    finite_volume_operator,
+    first_eigenpair,
+    lambda1_beta,
+    operator_grid,
+)
 from scx.variational import inf_functional, maximize, trial_functions
 
 CATALOG = [
@@ -115,7 +121,8 @@ class TestOneTrialGrid:
     @pytest.mark.parametrize("man", CATALOG + [bumpy_ball()])
     def test_bitwise_the_per_trial_path(self, man):
         m, trials, seed = 256, 40, 3
-        op = discretize(man, 0.25, m)
+        # the trial family's eigenfunction comes from finite volumes
+        op = finite_volume_operator(man, 0.25, m)
         eig = np.clip(first_eigenpair(op).eigenfunction, 1e-12, None)
         best, best_label = -np.inf, ""
         for label, cand in trial_functions(man, eig, op.grid, trials, seed):
