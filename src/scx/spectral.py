@@ -24,10 +24,14 @@ the Richardson estimate gains less than elsewhere.
 
 Finite volumes: intervals, n = 2 space forms and custom profiles.  The
 generalized problem -(A u')' + beta sigma A u = lambda A u is discretized
-conservatively and symmetrized by sqrt(mass), with cell masses integrated
-exactly in log space, so steep warps never overflow: entries only involve
-ratios of neighboring densities.  n = 2 stays here because it did not
-converge in normal form (v ~ d^(1/2), Q ~ -1/(4 d^2)).  Intervals use
+conservatively and symmetrized by sqrt(mass), with cell masses in log space,
+so steep warps never overflow: entries only involve ratios of neighboring
+densities.  On n = 2 space forms each mass is exact in closed form,
+int sn over [d - h/2, d + h/2] = 2 sn(d) sn(h/2), from one log_density pass
+over the nodes; on custom profiles (and in finite_volume_operator at n >= 3)
+it is a 4-point Gauss-Legendre rule per cell (_cell_log_masses).  n = 2
+stays on finite volumes because it did not converge in normal form
+(v ~ d^(1/2), Q ~ -1/(4 d^2)).  Intervals use
 interior nodes a+h..b-h with Dirichlet closures at both ends; radial
 profiles the staggered grid, whose centre face carries zero flux (A(0) = 0)
 and whose Dirichlet closure at the outer face is second order.
@@ -44,9 +48,11 @@ lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
 lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
 _CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid only, and
 _solve does the pair coarse first: _coarsen gives the operator at m from the
-fine one (normal form: Q at the coarse nodes; finite volumes: the fine cells
-merged in pairs, whose masses are the same cell integrals by an 8-point
-composite rule), bitwise on the nodes of discretize at m.  It is solved
+fine one (normal form: Q at the coarse nodes; n = 2 space forms: the exact
+masses at the coarse nodes, which are the even fine faces; custom profiles:
+the fine cells merged in pairs, whose masses are the same cell integrals by
+an 8-point composite rule), bitwise on the nodes of discretize at m, and on
+normal forms and n = 2 space forms bitwise discretize's operator.  It is solved
 cold, and the fine one from that eigenvector, prolonged (normal form:
 linearly, weights 3/4 and 1/4; finite volumes: to both halves of each cell)
 and from a first shift at the coarse value, so that it takes one or two
@@ -81,6 +87,7 @@ from .errors import InvalidKindError, InvalidParameterError, NumericalFailureErr
 from .geometry import Kind, ModelManifold, RadialProfile, SpaceForm, product
 
 _TINY = float(np.finfo(float).tiny)
+_LOG2 = math.log(2.0)
 
 # message of the NumericalFailureError raised when the two grids disagree
 CERTIFICATE_FAILED = "grid-doubling certificate failed"
@@ -207,12 +214,17 @@ _GL_W = np.array([0.34785484513745385, 0.6521451548625461,
 
 
 def _cell_log_masses(prof, m: int, h: float) -> np.ndarray:
-    """log of the exact volume mass per cell, int A over [ih, (i+1)h].
+    """log of the volume mass per cell, int A over [ih, (i+1)h], by a 4-point
+    Gauss-Legendre rule: custom profiles, and space forms of dimension n >= 3
+    in finite_volume_operator (n = 2 space forms take _exact_cell_log_masses).
 
-    Midpoint masses are O(1) off in the first cell, where A ~ d^(n-1) is far
-    from linear; that inconsistency leaves a kink in the eigenvector at the
-    coordinate center.  Quadrature in log space keeps steep densities (large
-    hyperbolic balls) overflow-free.
+    The rule is exact where A is a polynomial of degree <= 7 (flat balls up
+    to n = 8), and elsewhere off by O((k h)^8) relative on cells of width
+    k h in the warp's natural scale.  Midpoint masses are O(1) off in the
+    first cell, where A ~ d^(n-1) is far from linear; that inconsistency
+    leaves a kink in the eigenvector at the coordinate center.  Quadrature
+    in log space keeps steep densities (large hyperbolic balls)
+    overflow-free.
 
     The Gauss points lie in a (4, m) array, so each reduction is three
     vector passes over contiguous rows; the sum still runs
@@ -260,17 +272,40 @@ def _finite_volumes(grid: Grid, beta: float) -> DiscreteOperator:
         off = np.full(m - 1, -1.0 / h**2)
         log_mass = np.full(m, math.log(h))
         return DiscreteOperator(grid, diag, off, float(beta), log_mass)
-    return _radial_operator(grid, beta, grid.log_faces, _cell_log_masses(grid.profile, m, h))
+    prof = grid.profile
+    if _exact_cells(prof):
+        lM = _exact_cell_log_masses(prof, prof.log_density(grid.nodes), h)
+    else:
+        lM = _cell_log_masses(prof, m, h)
+    return _radial_operator(grid, beta, grid.log_faces, lM)
+
+
+def _exact_cells(prof) -> bool:
+    """True for n = 2 space forms, whose cell masses have a closed form."""
+    return isinstance(prof, SpaceForm) and prof.dim == 2
+
+
+def _exact_cell_log_masses(prof: SpaceForm, log_centres, h: float) -> np.ndarray:
+    """log of int sn over [d - h/2, d + h/2] on an n = 2 space form, from
+    log sn at the cell centres d.
+
+    The integral is 2 sn(d) sn(h/2) for every sign of kappa (product to sum
+    on (1 - cos)/kappa and (cosh - 1)/(-kappa); d h when flat), so in log
+    space nothing cancels and nothing overflows.
+    """
+    return np.asarray(log_centres, dtype=float) + (_LOG2 + float(prof.log_density(0.5 * h)))
 
 
 def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
     """The radial operator on cells of twice the width, from op's data.
 
     Its nodes are the even-indexed faces of op and its faces the odd-indexed
-    ones, bitwise those of discretize at half the size.  In normal form it
-    is discretize's operator at half the size; on finite volumes each cell
-    mass is the sum of its two halves, the same integral by an 8-point
-    composite rule, exact wherever discretize's 4-point rule is.
+    ones, bitwise those of discretize at half the size.  In normal form, and
+    on n = 2 space forms, whose exact masses need log A only at the nodes
+    (the even fine faces, already evaluated), it is discretize's operator at
+    half the size, bit for bit.  On other finite volumes each cell mass is
+    the sum of its two halves, the same integral by an 8-point composite
+    rule, exact wherever discretize's 4-point rule is.
     """
     fine = op.grid
     nodes = fine.h * np.arange(1, fine.size + 1, 2)
@@ -278,7 +313,10 @@ def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
                 sigma=np.asarray(fine.profile.scalar_curv(nodes), dtype=float))
     if op.normal_form:
         return _normal_operator(grid, op.beta)
-    lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
+    if _exact_cells(fine.profile):  # the coarse centres are the even fine faces
+        lM = _exact_cell_log_masses(fine.profile, fine.log_faces[0::2], grid.h)
+    else:
+        lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
     return _radial_operator(grid, op.beta, fine.log_faces[1::2], lM)
 
 

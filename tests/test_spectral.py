@@ -40,6 +40,7 @@ from scx.spectral import (
     operator_grid,
     sc_stab,
 )
+from scx._tridiag import smallest_eigenpair
 from scx.verify import nested_pairs
 
 
@@ -136,6 +137,10 @@ class TestCoarsen:
         if direct.normal_form:  # Q at the coarse nodes: discretize at m itself
             assert np.array_equal(coarse.diag, direct.diag)
             assert np.array_equal(coarse.offdiag, direct.offdiag)
+        if man.dim == 2:  # exact masses from the even fine faces
+            assert np.array_equal(coarse.diag, direct.diag)
+            assert np.array_equal(coarse.offdiag, direct.offdiag)
+            assert np.array_equal(coarse.log_mass, direct.log_mass)
 
     @pytest.mark.parametrize("m", [500, 2000])
     @pytest.mark.parametrize("case", sorted(_MASS_CASES))
@@ -156,6 +161,88 @@ class TestCoarsen:
         assert np.allclose(coarse.log_mass, direct.log_mass, rtol=0, atol=1e-13)
         assert np.allclose(coarse.diag, direct.diag, rtol=1e-12, atol=0)
         assert np.allclose(coarse.offdiag, direct.offdiag, rtol=1e-12, atol=0)
+
+
+def _integral_of_sn(kappa: float, t: float) -> float:
+    """C(t) = int_0^t sn, in forms without cancellation: t^2/2,
+    2 sin^2(k t/2)/kappa or 2 sinh^2(k t/2)/(-kappa), k = sqrt(|kappa|)."""
+    if kappa == 0:
+        return 0.5 * t * t
+    k = math.sqrt(abs(kappa))
+    if kappa > 0:
+        return 2.0 * math.sin(0.5 * k * t) ** 2 / kappa
+    return 2.0 * math.sinh(0.5 * k * t) ** 2 / -kappa
+
+
+_N2_SPACE_FORMS = [
+    make_space_form_ball(2, 0.0, 1.0), make_space_form_ball(2, 0.0, 7.0),
+    make_space_form_ball(2, 2.5, 0.9), make_spherical_cap(2, 2.0),
+    make_spherical_cap(2, 3.0), make_hyperbolic_ball(2, 30.0),
+    make_hyperbolic_ball(2, 600.0), make_space_form_ball(2, -4.0, 3.0),
+]
+
+
+class TestExactCellMasses:
+    """n = 2 space forms: int sn over [d - h/2, d + h/2] is 2 sn(d) sn(h/2)."""
+
+    @pytest.mark.parametrize("m", [16, 37, 500, 2000])
+    @pytest.mark.parametrize("man", _N2_SPACE_FORMS, ids=lambda man: man.describe())
+    def test_first_cells_are_differences_of_the_integral(self, man, m):
+        # C((i+1)h) - C(ih) loses at most a few digits on the first cells
+        op = discretize(man, 0.25, m)
+        h, kappa = op.grid.h, man.profile.kappa
+        for i in range(8):
+            exact = _integral_of_sn(kappa, (i + 1) * h) - _integral_of_sn(kappa, i * h)
+            assert math.exp(op.log_mass[i]) == pytest.approx(exact, rel=2e-14), i
+
+    @pytest.mark.parametrize("man", _N2_SPACE_FORMS, ids=lambda man: man.describe())
+    def test_the_gauss_rule_agrees_where_cells_are_small(self, man):
+        # where k h <= 0.1 the 4-point rule is exact to rounding; the logs
+        # agree to 1e-13, relative to |log M| where that exceeds 1
+        prof = man.profile
+        m = max(500, math.ceil(10 * math.sqrt(abs(prof.kappa)) * prof.r_max))
+        op = discretize(man, 0.25, m)
+        gauss = _cell_log_masses(prof, m, op.grid.h)
+        assert np.all(np.abs(op.log_mass - gauss) <= 1e-13 * np.maximum(1.0, np.abs(gauss)))
+
+    def test_finite_volume_operator_takes_them_too(self):
+        man = make_hyperbolic_ball(2, 30.0)
+        assert np.array_equal(finite_volume_operator(man, 0.25, 300).log_mass,
+                              discretize(man, 0.25, 300).log_mass)
+
+
+def _gauss_rule_pair(man, beta, m):
+    """(lambda_1 at m, lambda_1 at 2m) with the cell masses of the 4-point
+    rule, the coarse ones merged in pairs: the scheme that n = 2 space forms
+    had before their masses were exact."""
+    fine = operator_grid(man, 2 * m)
+    lM = _cell_log_masses(man.profile, 2 * m, fine.h)
+    ops = (spectral._radial_operator(operator_grid(man, m), beta, fine.log_faces[1::2],
+                                     np.logaddexp(lM[0::2], lM[1::2])),
+           spectral._radial_operator(fine, beta, fine.log_faces, lM))
+    return [smallest_eigenpair(op.diag, op.offdiag)[0] for op in ops]
+
+
+class TestN2Catalog:
+    """The exact masses move lambda_1 and the Richardson value by less than
+    the certificate of the Gauss-rule masses."""
+
+    @pytest.mark.parametrize("m", [125, 1000])
+    @pytest.mark.parametrize("man", [
+        make_space_form_ball(2, 0.0, 0.1), make_space_form_ball(2, 0.0, 1.0),
+        make_space_form_ball(2, 0.0, 7.0), make_spherical_cap(2, 0.5),
+        make_spherical_cap(2, 1.5), make_spherical_cap(2, 2.5),
+        make_spherical_cap(2, 3.0), make_hyperbolic_ball(2, 1.0),
+        make_hyperbolic_ball(2, 30.0), make_hyperbolic_ball(2, 200.0),
+        make_hyperbolic_ball(2, 600.0),
+    ], ids=lambda man: man.describe())
+    def test_within_the_gauss_rule_certificate(self, man, m, monkeypatch):
+        monkeypatch.setattr(spectral, "_cache", OrderedDict())
+        lam_c, lam_f = _gauss_rule_pair(man, 0.25, m)
+        bound = abs(lam_c - lam_f)
+        res = lambda1_beta(man, 0.25, m, tol=1.0)  # reads the value and its bound
+        assert abs(res.lambda1 - lam_f) <= bound
+        assert abs(res.richardson_estimate - (4 * lam_f - lam_c) / 3) <= bound
 
 
 class TestDriftOnDemand:
