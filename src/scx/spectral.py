@@ -378,19 +378,16 @@ def _cold_hints(op: DiscreteOperator) -> dict:
     x = sqrt(mass / max mass), the symmetrized samples of a function that
     vanishes at t = 1, and t the node over r.
     Where x is mostly tiny (mean below 0.05: large hyperbolic balls), the
-    eigenvector is spread far wider than x; the start is then ones, and x
-    gives only the first shift.  Where the vector underflows, or the masses
-    are not finite, there are no hints: ones and Gershgorin's shift.
+    eigenvector is spread far wider than x; the start is then the normal
+    form's sine, and x gives only the first shift.  Where the vector
+    underflows, or the masses are not finite, there are no hints: ones and
+    Gershgorin's shift.
     """
     m = op.grid.size
-    if op.grid.profile is None or op.normal_form:
-        # half of it, mirrored: sin near pi would lose the relative accuracy
-        # of the small entries, and with it a first shift within the slack
-        if op.grid.profile is None:
-            half = np.sin((math.pi / (m + 1)) * np.arange(1, (m + 1) // 2 + 1))
-        else:
-            half = np.sin((math.pi / m) * (np.arange((m + 1) // 2) + 0.5))
-        return {"start": np.concatenate((half, half[:m // 2][::-1]))}
+    if op.grid.profile is None:
+        return {"start": _mirrored_sine(m, (math.pi / (m + 1)) * np.arange(1, (m + 1) // 2 + 1))}
+    if op.normal_form:
+        return {"start": _staggered_sine(m)}
     with np.errstate(under="ignore"):
         x = np.exp(0.5 * (op.log_mass - op.log_mass.max()))
         spread = np.add.reduce(x) < 0.05 * m
@@ -400,8 +397,22 @@ def _cold_hints(op: DiscreteOperator) -> dict:
     if not x.min() >= _TINY:  # also on nan
         return {}
     if spread:
-        return {"below": collatz_wielandt(op.diag, op.offdiag, x)}
+        return {"start": _staggered_sine(m),
+                "below": collatz_wielandt(op.diag, op.offdiag, x)}
     return {"start": x}
+
+
+def _staggered_sine(m: int) -> np.ndarray:
+    """sin(pi (i - 1/2) / m), i = 1..m."""
+    return _mirrored_sine(m, (math.pi / m) * (np.arange((m + 1) // 2) + 0.5))
+
+
+def _mirrored_sine(m: int, angles: np.ndarray) -> np.ndarray:
+    """sin at the first half of the angles, mirrored to m entries: sin near
+    pi would lose the relative accuracy of the small entries, and with it a
+    first shift within the slack."""
+    half = np.sin(angles)
+    return np.concatenate((half, half[:m // 2][::-1]))
 
 
 def _solve(op: DiscreteOperator):
