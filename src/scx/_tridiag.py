@@ -42,8 +42,7 @@ positive v, and close under it where v is shaped like the eigenvector, so it
 less the blur is the first shift, where Gershgorin's bound can lie 1e4-1e7
 below on n = 2 and 3 radial operators.  ``below``, a value believed to lie
 under lambda_1, replaces that first shift (spectral passes the coarse
-eigenvalue of its pair, or the Collatz-Wielandt value of a vector that is
-no good as a start).  A start that is not strictly positive is replaced by
+eigenvalue of its pair).  A start that is not strictly positive is replaced by
 v = 1 and Gershgorin's shift, and a first shift that ``dptsv`` refuses falls
 back to Gershgorin's, so the hints change the number of solves, never the
 certificate.

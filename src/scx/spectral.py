@@ -4,7 +4,7 @@ Each operator is a symmetric tridiagonal Stieltjes matrix (negative
 off-diagonal), so the first eigenvector is simple and one-signed.  The input
 decides the scheme; there is no option.
 
-Liouville normal form: balls, caps and hyperbolic balls of dimension n >= 3.
+Liouville normal form: balls, caps and hyperbolic balls of dimension n >= 2.
 With v = sn^((n-1)/2) u the radial problem is -v'' + Q v = lambda v,
 
     Q = beta sigma + (n-1)(n-3)/4 (sn'/sn)^2 - (n-1)/2 kappa,
@@ -15,26 +15,25 @@ It is discretized by 3-point differences at the staggered nodes
 d_i = (i-1/2)h: diagonal 2/h^2 + Q(d_i), off-diagonal -1/h^2, and 1/h^2 more
 in the first and last rows, from the ghost values -v (v odd about d = 0; the
 Dirichlet face at d = r).  At n = 3, Q is constant and the discrete
-eigenvector is sin(pi (i-1/2)/m).  The node weight is A(d_i) h, so
-v = sqrt(weight) u, computed only where it is read (unweight).  Next to the
-centre the rows are not consistent node by node (v ~ d^((n-1)/2)), so
-unweighted samples there are poor for n >= 4; finite_volume_operator serves
-readers of function samples and pointwise quotients.  At n = 4 (v ~ d^(3/2))
-the Richardson estimate gains less than elsewhere.
+eigenvector is sin(pi (i-1/2)/m).  At n = 2, where v ~ d^(1/2) and
+Q ~ -1/(4 d^2), the centre rows are fitted so that they map d^(1/2) to zero
+(_normal_operator).  The node weight is A(d_i) h, so v = sqrt(weight) u,
+computed only where it is read (unweight).  Next to the centre the rows are
+not consistent node by node (v ~ d^((n-1)/2)), so unweighted samples there
+are poor for n >= 4, and at n = 2 too rough for pointwise quotients;
+finite_volume_operator serves readers of function samples and pointwise
+quotients.  At n = 4 (v ~ d^(3/2)) the Richardson estimate gains less than
+elsewhere.
 
-Finite volumes: intervals, n = 2 space forms and custom profiles.  The
-generalized problem -(A u')' + beta sigma A u = lambda A u is discretized
-conservatively and symmetrized by sqrt(mass), with cell masses in log space,
-so steep warps never overflow: entries only involve ratios of neighboring
-densities.  On n = 2 space forms each mass is exact in closed form,
-int sn over [d - h/2, d + h/2] = 2 sn(d) sn(h/2), from one log_density pass
-over the nodes; on custom profiles (and in finite_volume_operator at n >= 3)
-it is a 4-point Gauss-Legendre rule per cell (_cell_log_masses).  n = 2
-stays on finite volumes because it did not converge in normal form
-(v ~ d^(1/2), Q ~ -1/(4 d^2)).  Intervals use
-interior nodes a+h..b-h with Dirichlet closures at both ends; radial
-profiles the staggered grid, whose centre face carries zero flux (A(0) = 0)
-and whose Dirichlet closure at the outer face is second order.
+Finite volumes: intervals and custom profiles, and every radial manifold in
+finite_volume_operator.  The generalized problem
+-(A u')' + beta sigma A u = lambda A u is discretized conservatively and
+symmetrized by sqrt(mass), with cell masses in log space, so steep warps
+never overflow: entries only involve ratios of neighboring densities.  Each
+mass is a 4-point Gauss-Legendre rule per cell (_cell_log_masses).
+Intervals use interior nodes a+h..b-h with Dirichlet closures at both ends;
+radial profiles the staggered grid, whose centre face carries zero flux
+(A(0) = 0) and whose Dirichlet closure at the outer face is second order.
 
 Products and boxes are solved only by lambda1_beta, which adds its factors'
 results (spectral additivity) and their absolute bounds; sc_stab and
@@ -48,11 +47,10 @@ lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
 lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
 _CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid only, and
 _solve does the pair coarse first: _coarsen gives the operator at m from the
-fine one (normal form: Q at the coarse nodes; n = 2 space forms: the exact
-masses at the coarse nodes, which are the even fine faces; custom profiles:
+fine one (normal form: Q and the fit at the coarse nodes; finite volumes:
 the fine cells merged in pairs, whose masses are the same cell integrals by
-an 8-point composite rule), bitwise on the nodes of discretize at m, and on
-normal forms and n = 2 space forms bitwise discretize's operator.  It is solved
+an 8-point composite rule), bitwise on the nodes of discretize at m, and in
+normal form bitwise discretize's operator.  It is solved
 cold, and the fine one from that eigenvector, prolonged (normal form:
 linearly, weights 3/4 and 1/4; finite volumes: to both halves of each cell)
 and from a first shift at the coarse value, so that it takes one or two
@@ -62,15 +60,16 @@ solved before, and the coarse value is a cold solve of the coarse operator.
 Interval grids do not nest, so an interval discretizes both grids and
 solves each cold, as first_eigenpair solves an operator of odd size.  A
 cold solve starts from _cold_hints: the exact discrete eigenvector on
-intervals and n = 3 normal forms (a sine at n > 3), and on finite-volume
-radial operators the node weights times 1 - t^2, or the normal form's sine
-where the weights are spread (large hyperbolic balls).  An eigenfunction comes
+intervals and n = 3 normal forms (a sine at n > 3, and sqrt(t) times a
+quarter sine at n = 2), and on finite-volume radial operators the node
+weights times 1 - t^2.  An eigenfunction comes
 from first_eigenpair(discretize(man, beta, m)), or, with samples accurate
 next to the centre, from first_eigenpair(finite_volume_operator(...)).
 
 Only what a result reads is computed: finite volumes never evaluate the
 drift A'/A, which Grid.drift computes from the profile on first read (the
-warped curvature fields read it, and the normal form at n > 3).
+warped curvature fields read it, and the normal form where Q is not
+constant: n > 3, and curved n = 2 space forms).
 """
 
 from __future__ import annotations
@@ -83,12 +82,11 @@ from functools import cached_property
 import numpy as np
 
 from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID
-from ._tridiag import collatz_wielandt, smallest_eigenpair
+from ._tridiag import smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import Kind, ModelManifold, RadialProfile, SpaceForm, product
 
 _TINY = float(np.finfo(float).tiny)
-_LOG2 = math.log(2.0)
 
 # message of the NumericalFailureError raised when the two grids disagree
 CERTIFICATE_FAILED = "grid-doubling certificate failed"
@@ -216,8 +214,8 @@ _GL_W = np.array([0.34785484513745385, 0.6521451548625461,
 
 def _cell_log_masses(prof, m: int, h: float) -> np.ndarray:
     """log of the volume mass per cell, int A over [ih, (i+1)h], by a 4-point
-    Gauss-Legendre rule: custom profiles, and space forms of dimension n >= 3
-    in finite_volume_operator (n = 2 space forms take _exact_cell_log_masses).
+    Gauss-Legendre rule: custom profiles, and space forms in
+    finite_volume_operator.
 
     The rule is exact where A is a polynomial of degree <= 7 (flat balls up
     to n = 8), and elsewhere off by O((k h)^8) relative on cells of width
@@ -245,10 +243,10 @@ def _cell_log_masses(prof, m: int, h: float) -> np.ndarray:
 
 def discretize(man: ModelManifold, beta: float, m: int) -> DiscreteOperator:
     """Symmetric tridiagonal discretization of -Lap + beta*sigma: Liouville
-    normal form on space forms of dimension 3 and up, finite volumes on
+    normal form on space forms of dimension 2 and up, finite volumes on
     everything else."""
     grid = operator_grid(man, m)
-    if isinstance(grid.profile, SpaceForm) and grid.profile.dim >= 3:
+    if isinstance(grid.profile, SpaceForm) and grid.profile.dim >= 2:
         return _normal_operator(grid, beta)
     return _finite_volumes(grid, beta)
 
@@ -273,40 +271,19 @@ def _finite_volumes(grid: Grid, beta: float) -> DiscreteOperator:
         off = np.full(m - 1, -1.0 / h**2)
         log_mass = np.full(m, math.log(h))
         return DiscreteOperator(grid, diag, off, float(beta), log_mass)
-    prof = grid.profile
-    if _exact_cells(prof):
-        lM = _exact_cell_log_masses(prof, prof.log_density(grid.nodes), h)
-    else:
-        lM = _cell_log_masses(prof, m, h)
-    return _radial_operator(grid, beta, grid.log_faces, lM)
-
-
-def _exact_cells(prof) -> bool:
-    """True for n = 2 space forms, whose cell masses have a closed form."""
-    return isinstance(prof, SpaceForm) and prof.dim == 2
-
-
-def _exact_cell_log_masses(prof: SpaceForm, log_centres, h: float) -> np.ndarray:
-    """log of int sn over [d - h/2, d + h/2] on an n = 2 space form, from
-    log sn at the cell centres d.
-
-    The integral is 2 sn(d) sn(h/2) for every sign of kappa (product to sum
-    on (1 - cos)/kappa and (cosh - 1)/(-kappa); d h when flat), so in log
-    space nothing cancels and nothing overflows.
-    """
-    return log_centres + (_LOG2 + float(prof.log_density(0.5 * h)))
+    return _radial_operator(grid, beta, grid.log_faces,
+                            _cell_log_masses(grid.profile, m, h))
 
 
 def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
     """The radial operator on cells of twice the width, from op's data.
 
     Its nodes are the even-indexed faces of op and its faces the odd-indexed
-    ones, bitwise those of discretize at half the size.  In normal form, and
-    on n = 2 space forms, whose exact masses need log A only at the nodes
-    (the even fine faces, already evaluated), it is discretize's operator at
-    half the size, bit for bit.  On other finite volumes each cell mass is
-    the sum of its two halves, the same integral by an 8-point composite
-    rule, exact wherever discretize's 4-point rule is.
+    ones, bitwise those of discretize at half the size.  In normal form it
+    is discretize's operator at half the size, bit for bit.  On finite
+    volumes each cell mass is the sum of its two halves, the same integral
+    by an 8-point composite rule, exact wherever discretize's 4-point rule
+    is.
     """
     fine = op.grid
     nodes = fine.h * np.arange(1, fine.size + 1, 2)
@@ -314,10 +291,7 @@ def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
                 sigma=np.asarray(fine.profile.scalar_curv(nodes), dtype=float))
     if op.normal_form:
         return _normal_operator(grid, op.beta)
-    if _exact_cells(fine.profile):  # the coarse centres are the even fine faces
-        lM = _exact_cell_log_masses(fine.profile, fine.log_faces[0::2], grid.h)
-    else:
-        lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
+    lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
     return _radial_operator(grid, op.beta, fine.log_faces[1::2], lM)
 
 
@@ -328,6 +302,16 @@ def _normal_operator(grid: Grid, beta: float) -> DiscreteOperator:
     the profile's drift over n - 1 (cot, 1/d or coth: finite at every node).
     The ghost values are -v at both ends: v is odd about d = 0, and the
     Dirichlet face lies at d = r, half a cell beyond the last node.
+
+    At n = 2, Q ~ -1/(4 d^2) and the indicial exponent 1/2 is double, so the
+    ghost row cannot tell d^(1/2) from d^(1/2) log d.  The centre rows are
+    fitted to d^(1/2) instead (Pryce 1993, on singular endpoints): at node
+    d = j h, j = i - 1/2, the singular part -1/(4 d^2) becomes its discrete
+    value on d^(1/2), (sqrt(j+1) - 2 sqrt(j) + sqrt(j-1)) / (sqrt(j) h^2),
+    and the first row is (sqrt(3) v_1 - v_2)/h^2, so the rows map d^(1/2) to
+    zero at every node.  The smooth rest, -kappa/2 - ((sn'/sn)^2 - 1/d^2)/4,
+    is zero on flat disks; elsewhere its rounding, O(eps/d^2), lies below
+    the matrix's own, eps/h^2.
     """
     prof, h = grid.profile, grid.h
     n = prof.dim
@@ -336,11 +320,23 @@ def _normal_operator(grid: Grid, beta: float) -> DiscreteOperator:
     # solver refuses a non-finite entry with a NumericalFailureError
     with np.errstate(over="ignore", invalid="ignore"):
         diag = beta * grid.sigma
-        diag += 2.0 * inv_h2 - 0.5 * (n - 1) * prof.kappa
-        if n > 3:  # at n = 3 Q is constant
-            cot = grid.drift / (n - 1)
-            diag += 0.25 * (n - 1) * (n - 3) * (cot * cot)
-    diag[0] += inv_h2
+        if n == 2:
+            # sqrt(j+1) - 2 sqrt(j) + sqrt(j-1) without cancellation
+            j = np.arange(1.5, grid.size)
+            s0, s1, sm = np.sqrt(j), np.sqrt(j + 1), np.sqrt(j - 1)
+            centre = np.empty(grid.size)
+            centre[0] = math.sqrt(3.0)
+            centre[1:] = 2.0 - 2.0 / (s0 * (s1 + sm) * (s1 + s0) * (s0 + sm))
+            diag += centre * inv_h2 - 0.5 * prof.kappa
+            if prof.kappa:
+                cot, d = grid.drift, grid.nodes
+                diag -= 0.25 * (cot * cot - 1.0 / (d * d))
+        else:
+            diag += 2.0 * inv_h2 - 0.5 * (n - 1) * prof.kappa
+            if n > 3:  # at n = 3 Q is constant
+                cot = grid.drift / (n - 1)
+                diag += 0.25 * (n - 1) * (n - 3) * (cot * cot)
+            diag[0] += inv_h2
     diag[-1] += inv_h2
     off = np.full(grid.size - 1, -inv_h2)
     return DiscreteOperator(grid, diag, off, float(beta))
@@ -374,30 +370,27 @@ def _cold_hints(op: DiscreteOperator) -> dict:
     first eigenvector, whose Collatz-Wielandt value is the first shift.
 
     Intervals: sin(pi i / (m + 1)), the exact discrete eigenvector.  Normal
-    forms: sin(pi (i - 1/2) / m), exact at n = 3, and a sine-shaped start
-    for n > 3.  Finite-volume radial operators: x (1 - t^2) with
+    forms: at n = 2 sqrt(t) sin(pi (1 - t)/2), shaped like d^(1/2) at the
+    centre, with t = (i - 1/2)/m and 1 - t formed exactly; otherwise
+    sin(pi (i - 1/2) / m), exact at n = 3, and a sine-shaped start for
+    n > 3.  Finite-volume radial operators: x (1 - t^2) with
     x = sqrt(mass / max mass), the symmetrized samples of a function that
-    vanishes at t = 1, and t the node over r.
-    Where x is mostly tiny (mean below 0.05: large hyperbolic balls), the
-    eigenvector is spread far wider than x; the start is then the normal
-    form's sine, and x gives only the first shift.  Where the vector
-    underflows, or the masses are not finite, there are no hints: ones and
-    Gershgorin's shift.
+    vanishes at t = 1, and t the node over r.  Where that vector underflows,
+    or the masses are not finite, there are no hints: ones and Gershgorin's
+    shift.
     """
-    m = op.grid.size
-    if op.grid.profile is None or op.normal_form:
-        return {"start": _sine_start(m, op.grid.profile is None)}
+    m, prof = op.grid.size, op.grid.profile
+    if op.normal_form and prof.dim == 2:
+        k = np.arange(m) + 0.5
+        return {"start": np.sqrt(k / m) * np.sin((0.5 * math.pi) * ((m - k) / m))}
+    if prof is None or op.normal_form:
+        return {"start": _sine_start(m, prof is None)}
     with np.errstate(under="ignore"):
         x = np.exp(0.5 * (op.log_mass - op.log_mass.max()))
-        spread = np.add.reduce(x) < 0.05 * m
-        if not spread:
-            t = op.grid.nodes / (m * op.grid.h)
-            x *= 1.0 - t * t
+        t = op.grid.nodes / (m * op.grid.h)
+        x *= 1.0 - t * t
     if not x.min() >= _TINY:  # also on nan
         return {}
-    if spread:
-        return {"start": _sine_start(m, False),
-                "below": collatz_wielandt(op.diag, op.offdiag, x)}
     return {"start": x}
 
 
@@ -450,8 +443,11 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     On a normal-form operator (space forms with n >= 4) the samples next to
     the centre are poor, 14 % off at n = 4 and more in higher dimension,
     because unweighting divides v ~ d^((n-1)/2) by the weight; the
-    eigenvalue is not affected.  For samples good to O(h^2) at every node
-    pass finite_volume_operator(man, beta, m) in place of discretize.
+    eigenvalue is not affected.  At n = 2 they are good to O(h^2), but not
+    smooth enough next to the centre for second differences: the warped
+    quotient of the hemisphere is 9.5 % off at the first node.  For samples
+    good to O(h^2) at every node, and smooth there, pass
+    finite_volume_operator(man, beta, m) in place of discretize.
     """
     lam, v, _ = _solve(op)
     u = op.unweight(v)

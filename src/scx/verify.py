@@ -29,9 +29,9 @@ from .geometry import (
     radius_from_mean_curvature,
 )
 from .spectral import (
-    discretize,
     eigen_product,
     exhaustion_limit,
+    finite_volume_operator,
     first_eigenpair,
     lambda1_beta,
     operator_grid,
@@ -255,8 +255,7 @@ def warped_suite(seed: int = 0, grid: int | None = None):
 
     for label, man in (("hemisphere S^2_+", make_spherical_cap(2, math.pi / 2)),
                        ("interval [0,1]", make_interval(0, 1))):
-        op = discretize(man, 0.5, m)
-        res = first_eigenpair(op)
+        res = first_eigenpair(finite_volume_operator(man, 0.5, m))
         fam = warped.make_warping_family(man, [res.eigenfunction], m)
         vals = warped.warped_sc(fam)
         target = 2 * res.lambda1

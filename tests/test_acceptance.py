@@ -45,6 +45,7 @@ from scx.spectral import (
     discretize,
     eigen_product,
     exhaustion_limit,
+    finite_volume_operator,
     first_eigenpair,
     lambda1_beta,
     sc_stab,
@@ -233,9 +234,12 @@ def test_criterion_06_majorization(man):
 def test_criterion_07a_eigenfunction_warp():
     worst_spread = 0.0
     worst_dev = 0.0
-    for man in (make_interval(0, 1), make_spherical_cap(2, math.pi / 2),
-                make_space_form_ball(3, 0, 1)):
-        res = first_eigenpair(discretize(man, 0.5, 2048))
+    # the hemisphere's samples from finite volumes: the n = 2 normal form's
+    # put the warped quotient 9.5 % off at the first node
+    for man, operator in ((make_interval(0, 1), discretize),
+                          (make_spherical_cap(2, math.pi / 2), finite_volume_operator),
+                          (make_space_form_ball(3, 0, 1), discretize)):
+        res = first_eigenpair(operator(man, 0.5, 2048))
         fam = make_warping_family(man, [res.eigenfunction], 2048)
         vals = warped_sc(fam)
         target = 2 * res.lambda1

@@ -550,11 +550,11 @@ class TestGridLadder:
         assert "inverse iteration failed" in capsys.readouterr().err
 
     def test_reports_the_fine_grid_used(self, capsys):
-        # the finite-volume n = 2 ball fails its certificate on the rungs
-        # 250, 500 and 1000 and passes at 2000
-        assert main(["compute", "hypball:n=2,r=999", "--grid", "250", "--csv"]) == 0
+        # the interval fails its certificate on the rungs 64 and 128 and
+        # passes at 256
+        assert main(["compute", "interval:0,1", "--grid", "64", "--tol", "1e-6", "--csv"]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert row["grid"] == "4000"
+        assert row["grid"] == "512"
 
     def test_start_grid_output_unchanged(self, capsys):
         # output of the version before the ladder: the same bytes apart from

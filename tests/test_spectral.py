@@ -83,8 +83,8 @@ def _cell_log_masses_reference(prof, m, h):
     return peak + np.log(np.sum(np.exp(logs - peak[:, None]), axis=1))
 
 
-# the n = 2 space forms and custom profiles are discretized by finite
-# volumes; _cell_log_masses and _coarsen read any profile
+# custom profiles are discretized by finite volumes, space forms by the
+# normal form; _cell_log_masses and _coarsen read any profile
 _MASS_CASES = {
     "flat disk": lambda: make_space_form_ball(2, 0.0, 1.0),
     "hyperbolic 2-ball r=600": lambda: make_hyperbolic_ball(2, 600.0),
@@ -137,10 +137,6 @@ class TestCoarsen:
         if direct.normal_form:  # Q at the coarse nodes: discretize at m itself
             assert np.array_equal(coarse.diag, direct.diag)
             assert np.array_equal(coarse.offdiag, direct.offdiag)
-        if isinstance(man.profile, SpaceForm) and man.dim == 2:  # exact masses
-            assert np.array_equal(coarse.diag, direct.diag)
-            assert np.array_equal(coarse.offdiag, direct.offdiag)
-            assert np.array_equal(coarse.log_mass, direct.log_mass)
 
     @pytest.mark.parametrize("m", [500, 2000])
     @pytest.mark.parametrize("case", sorted(_MASS_CASES))
@@ -163,69 +159,16 @@ class TestCoarsen:
         assert np.allclose(coarse.offdiag, direct.offdiag, rtol=1e-12, atol=0)
 
 
-def _integral_of_sn(kappa: float, t: float) -> float:
-    """C(t) = int_0^t sn, in forms without cancellation: t^2/2,
-    2 sin^2(k t/2)/kappa or 2 sinh^2(k t/2)/(-kappa), k = sqrt(|kappa|)."""
-    if kappa == 0:
-        return 0.5 * t * t
-    k = math.sqrt(abs(kappa))
-    if kappa > 0:
-        return 2.0 * math.sin(0.5 * k * t) ** 2 / kappa
-    return 2.0 * math.sinh(0.5 * k * t) ** 2 / -kappa
-
-
-_N2_SPACE_FORMS = [
-    make_space_form_ball(2, 0.0, 1.0), make_space_form_ball(2, 0.0, 7.0),
-    make_space_form_ball(2, 2.5, 0.9), make_spherical_cap(2, 2.0),
-    make_spherical_cap(2, 3.0), make_hyperbolic_ball(2, 30.0),
-    make_hyperbolic_ball(2, 600.0), make_space_form_ball(2, -4.0, 3.0),
-]
-
-
-class TestExactCellMasses:
-    """n = 2 space forms: int sn over [d - h/2, d + h/2] is 2 sn(d) sn(h/2)."""
-
-    @pytest.mark.parametrize("m", [16, 37, 500, 2000])
-    @pytest.mark.parametrize("man", _N2_SPACE_FORMS, ids=lambda man: man.describe())
-    def test_first_cells_are_differences_of_the_integral(self, man, m):
-        # C((i+1)h) - C(ih) loses at most a few digits on the first cells
-        op = discretize(man, 0.25, m)
-        h, kappa = op.grid.h, man.profile.kappa
-        for i in range(8):
-            exact = _integral_of_sn(kappa, (i + 1) * h) - _integral_of_sn(kappa, i * h)
-            assert math.exp(op.log_mass[i]) == pytest.approx(exact, rel=2e-14), i
-
-    @pytest.mark.parametrize("man", _N2_SPACE_FORMS, ids=lambda man: man.describe())
-    def test_the_gauss_rule_agrees_where_cells_are_small(self, man):
-        # where k h <= 0.1 the 4-point rule is exact to rounding; the logs
-        # agree to 1e-13, relative to |log M| where that exceeds 1
-        prof = man.profile
-        m = max(500, math.ceil(10 * math.sqrt(abs(prof.kappa)) * prof.r_max))
-        op = discretize(man, 0.25, m)
-        gauss = _cell_log_masses(prof, m, op.grid.h)
-        assert np.all(np.abs(op.log_mass - gauss) <= 1e-13 * np.maximum(1.0, np.abs(gauss)))
-
-    def test_finite_volume_operator_takes_them_too(self):
-        man = make_hyperbolic_ball(2, 30.0)
-        assert np.array_equal(finite_volume_operator(man, 0.25, 300).log_mass,
-                              discretize(man, 0.25, 300).log_mass)
-
-
-def _gauss_rule_pair(man, beta, m):
-    """(lambda_1 at m, lambda_1 at 2m) with the cell masses of the 4-point
-    rule, the coarse ones merged in pairs: the scheme that n = 2 space forms
-    had before their masses were exact."""
-    fine = operator_grid(man, 2 * m)
-    lM = _cell_log_masses(man.profile, 2 * m, fine.h)
-    ops = (spectral._radial_operator(operator_grid(man, m), beta, fine.log_faces[1::2],
-                                     np.logaddexp(lM[0::2], lM[1::2])),
-           spectral._radial_operator(fine, beta, fine.log_faces, lM))
-    return [smallest_eigenpair(op.diag, op.offdiag)[0] for op in ops]
+def _finite_volume_pair(man, beta, m):
+    """(lambda_1 at m, lambda_1 at 2m) of finite_volume_operator's scheme:
+    4-point Gauss cell masses, the coarse ones merged in pairs."""
+    fine = finite_volume_operator(man, beta, 2 * m)
+    return [smallest_eigenpair(op.diag, op.offdiag)[0] for op in (spectral._coarsen(fine), fine)]
 
 
 class TestN2Catalog:
-    """The exact masses move lambda_1 and the Richardson value by less than
-    the certificate of the Gauss-rule masses."""
+    """The fitted normal form's lambda_1 and Richardson value lie within the
+    certificate of the Gauss-rule finite-volume pair."""
 
     @pytest.mark.parametrize("m", [125, 1000])
     @pytest.mark.parametrize("man", [
@@ -238,7 +181,7 @@ class TestN2Catalog:
     ], ids=lambda man: man.describe())
     def test_within_the_gauss_rule_certificate(self, man, m, monkeypatch):
         monkeypatch.setattr(spectral, "_cache", OrderedDict())
-        lam_c, lam_f = _gauss_rule_pair(man, 0.25, m)
+        lam_c, lam_f = _finite_volume_pair(man, 0.25, m)
         bound = abs(lam_c - lam_f)
         res = lambda1_beta(man, 0.25, m, tol=1.0)  # reads the value and its bound
         assert abs(res.lambda1 - lam_f) <= bound
@@ -258,20 +201,21 @@ class TestDriftOnDemand:
         return calls
 
     def test_solve_path_never_evaluates_drift(self, drift_calls):
-        # finite volumes: n = 2 space forms and custom profiles
-        for man in (make_space_form_ball(2, 0.0, 1.0), make_hyperbolic_ball(2, 2.0),
-                    make_spherical_cap(2, 1.0),
-                    make_radial_custom(3, np.sin, 1.2, warp_prime=np.cos)):
-            discretize(man, 0.25, 128)
-            lambda1_beta(man, 0.25, 96)
+        # finite volumes: custom profiles
+        man = make_radial_custom(3, np.sin, 1.2, warp_prime=np.cos)
+        discretize(man, 0.25, 128)
+        lambda1_beta(man, 0.25, 96)
         assert drift_calls == []
 
     def test_normal_form_reads_the_grid_drift_once(self, drift_calls, monkeypatch):
-        # Q takes sn'/sn from the grid's cached drift, and only where
-        # (n-1)(n-3) is not zero
+        # Q takes sn'/sn from the grid's cached drift, and only where it is
+        # not constant: n > 3, and curved n = 2 space forms, whose smooth
+        # rest -((sn'/sn)^2 - 1/d^2)/4 is zero on flat disks
         monkeypatch.setattr(spectral, "_cache", OrderedDict())
-        discretize(make_space_form_ball(3, 0.0, 1.0), 0.25, 128)
+        for man in (make_space_form_ball(3, 0.0, 1.0), make_space_form_ball(2, 0.0, 1.0)):
+            discretize(man, 0.25, 128)
         lambda1_beta(make_hyperbolic_ball(3, 2.0), 0.25, 96)
+        lambda1_beta(make_space_form_ball(2, 0.0, 3.0), 0.25, 96)
         assert drift_calls == []
         op = discretize(make_hyperbolic_ball(4, 2.0), 0.25, 128)
         assert drift_calls == [128]
@@ -279,6 +223,8 @@ class TestDriftOnDemand:
         assert drift_calls == [128]
         lambda1_beta(make_hyperbolic_ball(4, 2.0), 0.25, 96)
         assert drift_calls == [128, 192, 96]  # the fine grid, then the coarse one
+        lambda1_beta(make_spherical_cap(2, 1.0), 0.25, 96)
+        assert drift_calls == [128, 192, 96, 192, 96]
 
     def test_warped_fields_read_eager_values(self, drift_calls):
         man = make_hyperbolic_ball(3, 2.0)
@@ -687,7 +633,7 @@ _CLOSED_FORM_CATALOG = [make_space_form_ball(n, 0.0, 1.0) for n in (4, 5, 6, 12,
 
 
 class TestNormalForm:
-    """Space forms of dimension n >= 3: -v'' + Q v on v = sn^((n-1)/2) u."""
+    """Space forms of dimension n >= 2: -v'' + Q v on v = sn^((n-1)/2) u."""
 
     @pytest.mark.parametrize("man", _CLOSED_FORM_CATALOG, ids=lambda man: man.describe())
     def test_error_within_certificate_at_every_grid(self, man):
@@ -696,15 +642,59 @@ class TestNormalForm:
             res = lambda1_beta(man, 0.25, m, tol=1.0)  # reads the value and its bound
             assert abs(res.lambda1 - exact) <= res.certificate * abs(res.lambda1), m
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_large_hyperbolic_balls_inside_the_proven_window(self, n):
-        for r in (100.0, 300.0, 516.7, 1000.0):
+    @pytest.mark.parametrize("n, radii", [
+        (2, (600.0, 800.0, 993.659)),
+        *((n, (100.0, 300.0, 516.7, 1000.0)) for n in (3, 4, 5, 6)),
+    ])
+    def test_large_hyperbolic_balls_inside_the_proven_window(self, n, radii):
+        for r in radii:
             lo, hi = hyperbolic_c_window(n, r)
             for m in (500, 4000):
                 res = lambda1_beta(make_hyperbolic_ball(n, r), 0.0, m)
                 c = hyperbolic_c_from_lambda(n, r, res.lambda1)
                 slack = 4.0 * res.certificate * abs(res.lambda1) / (n - 1) ** 2
                 assert lo - slack <= c <= hi + slack, (r, m, c, lo, hi)
+
+    @pytest.mark.parametrize("m", [16, 37, 500])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 7.0])
+    def test_fitted_rows_map_the_square_root_to_zero(self, r, m):
+        # on flat disks Q is -1/(4 d^2) alone; with the ghost -v taken out of
+        # the last row and d^(1/2) continued one node, each row's residual is
+        # rounding against the size of its terms
+        op = discretize(make_space_form_ball(2, 0.0, r), 0.25, m)
+        h = op.grid.h
+        v = np.sqrt(h * (np.arange(m + 1) + 0.5))
+        diag = op.diag.copy()
+        diag[-1] -= 1.0 / h**2
+        off = np.append(op.offdiag, -1.0 / h**2)
+        res = diag * v[:-1] + off * v[1:]
+        res[1:] += op.offdiag * v[:-2]
+        size = diag * v[:-1] - off * v[1:]
+        size[1:] -= op.offdiag * v[:-2]
+        assert np.all(np.abs(res) <= 8 * np.finfo(float).eps * size)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, -3.0])
+    @pytest.mark.parametrize("man", [
+        make_space_form_ball(3, 0.0, 1.0), make_spherical_cap(3, 2.5),
+        make_hyperbolic_ball(3, 300.0), make_space_form_ball(4, 0.0, 3.0),
+        make_spherical_cap(4, 3.0), make_hyperbolic_ball(5, 516.7),
+        make_space_form_ball(12, -2.0, 1.5), make_spherical_cap(30, 1.0),
+    ], ids=lambda man: man.describe())
+    def test_rows_unfitted_from_three_dimensions_up(self, man, beta):
+        # 2/h^2 + Q, with Q = beta sigma + (n-1)(n-3)/4 (sn'/sn)^2 - (n-1)/2 kappa,
+        # and 1/h^2 more in the first and last rows: bit for bit
+        m = 301
+        grid = operator_grid(man, m)
+        n, inv_h2 = man.dim, 1.0 / grid.h**2
+        diag = beta * grid.sigma
+        diag += 2.0 * inv_h2 - 0.5 * (n - 1) * man.profile.kappa
+        if n > 3:
+            cot = grid.drift / (n - 1)
+            diag += 0.25 * (n - 1) * (n - 3) * (cot * cot)
+        diag[[0, -1]] += inv_h2
+        op = discretize(man, beta, m)
+        assert np.array_equal(op.diag, diag)
+        assert np.array_equal(op.offdiag, np.full(m - 1, -inv_h2))
 
     @pytest.mark.parametrize("m", [250, 301])
     def test_lambda1_is_first_eigenpair_at_twice_the_grid(self, m, monkeypatch):

@@ -328,8 +328,7 @@ class TestColdStart:
     @pytest.mark.parametrize("seed", range(8))
     def test_first_shift_below_lambda1(self, monkeypatch, seed):
         # the Collatz-Wielandt value of sqrt(w / max w), spanning 1e-150..1,
-        # as the first shift of the iteration from ones (spectral's shift
-        # where the weights are spread)
+        # as the first shift of the iteration from ones
         rng = np.random.default_rng(400 + seed)
         diag, off, log_mass = _weighted(rng, int(rng.integers(50, 401)))
         assert np.exp(log_mass.min()) == pytest.approx(1e-300, rel=1e-9)
@@ -378,28 +377,6 @@ class TestColdStart:
         assert list(hints) == ["start"]
         assert np.allclose(hints["start"], 1.0 - t * t, rtol=1e-15, atol=0)
 
-    def test_spread_weights_give_the_sine_and_their_shift(self, monkeypatch):
-        # large hyperbolic balls: sqrt(mass) has mean below 0.05, so the
-        # start is the normal form's sin(pi (i - 1/2)/m) and the first shift
-        # the Collatz-Wielandt value of sqrt(mass); from ones and that shift
-        # a cold solve took 6 and 7 dptsv
-        m = 1000
-        for r, solves in ((60.0, 5), (200.0, 4)):
-            op = spectral.discretize(make_hyperbolic_ball(2, r), 0.25, m)
-            x = np.exp(0.5 * (op.log_mass - op.log_mass.max()))
-            assert x.mean() < 0.05 and x.min() > 0
-            hints = spectral._cold_hints(op)
-            assert sorted(hints) == ["below", "start"]
-            assert hints["below"] == float(np.min(_tridiag.tridiag_apply(op.diag, op.offdiag, x) / x))
-            # mirrored, so the entries near i = m keep their relative accuracy
-            assert np.allclose(hints["start"], np.sin(np.pi * (np.arange(m) + 0.5) / m),
-                               rtol=1e-12, atol=0)
-            lam1 = eigvalsh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 0))[0]
-            assert hints["below"] <= lam1
-            (lam, _), infos = _dptsv_calls(monkeypatch, op.diag, op.offdiag, **hints)
-            assert abs(lam - lam1) <= _slack(lam1, op.diag, op.offdiag)
-            assert len(infos) <= solves, r
-
     @pytest.mark.parametrize("man", [
         make_spherical_cap(2, 1.5),
         make_hyperbolic_ball(3, 2.0),
@@ -442,6 +419,26 @@ class TestColdStart:
                                         **spectral._cold_hints(op))
         assert calls == (1, 0)
         assert abs(lam - exact) <= _slack(exact, op.diag, op.offdiag)
+
+    @pytest.mark.parametrize("man", [
+        make_space_form_ball(2, 0.0, 1.0), make_spherical_cap(2, 3.0),
+        make_hyperbolic_ball(2, 60.0), make_hyperbolic_ball(2, 200.0),
+    ], ids=["flat", "cap-3", "hypball-60", "hypball-200"])
+    def test_two_dimensional_normal_form_start_has_the_square_root(self, monkeypatch, man):
+        # sqrt(t) sin(pi (1 - t)/2), t = (i - 1/2)/m: shaped like d^(1/2) at
+        # the centre, as the fitted rows' eigenvector; from the staggered
+        # sine a cold solve takes 5 to 6 dptsv here
+        m = 1000
+        op = spectral.discretize(man, 0.25, m)
+        t = (np.arange(m) + 0.5) / m
+        hints = spectral._cold_hints(op)
+        assert list(hints) == ["start"]
+        assert np.allclose(hints["start"], np.sqrt(t) * np.cos(0.5 * math.pi * t),
+                           rtol=1e-12, atol=0)
+        lam1 = eigvalsh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 0))[0]
+        (lam, _), infos = _dptsv_calls(monkeypatch, op.diag, op.offdiag, **hints)
+        assert abs(lam - lam1) <= _slack(lam1, op.diag, op.offdiag)
+        assert len(infos) <= 4
 
     def test_lambda1_matches_first_eigenpair_on_catalog(self, fresh_cache):
         rng = np.random.default_rng(19)

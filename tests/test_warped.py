@@ -10,7 +10,7 @@ from scx.geometry import (
     make_space_form_ball,
     make_spherical_cap,
 )
-from scx.spectral import discretize, first_eigenpair, operator_grid
+from scx.spectral import discretize, finite_volume_operator, first_eigenpair, operator_grid
 from scx.warped import (
     geometric_mean_reduce,
     make_warping_family,
@@ -55,7 +55,10 @@ class TestWarpedSc:
     ])
     def test_eigenfunction_warp_is_constant_2lam(self, man, label):
         m = 1024
-        res = first_eigenpair(discretize(man, 0.5, m))
+        # the hemisphere's samples from finite volumes: the n = 2 normal
+        # form's put the warped quotient 9.5 % off at the first node
+        operator = finite_volume_operator if label == "hemisphere" else discretize
+        res = first_eigenpair(operator(man, 0.5, m))
         fam = make_warping_family(man, [res.eigenfunction], m)
         vals = warped_sc(fam)
         target = 2 * res.lambda1
@@ -159,7 +162,7 @@ class TestThetaForm:
     def test_eigenfunction_gives_constant_4lam(self):
         man = make_spherical_cap(2, math.pi / 2)
         m = 1024
-        res = first_eigenpair(discretize(man, 0.25, m))
+        res = first_eigenpair(finite_volume_operator(man, 0.25, m))
         vals = theta_form(man, res.eigenfunction, m)
         assert np.allclose(vals, 4 * res.lambda1, rtol=1e-4)
 
