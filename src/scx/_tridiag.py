@@ -63,6 +63,12 @@ scipy.linalg is imported first, its modules are used.  Only where the files cann
 found are the routines taken from the public ``scipy.linalg.lapack`` and
 ``blas``.  ``_count`` runs only when the certificate fails and imports
 ``scipy.linalg`` itself.
+
+The loader, ``_scipy_extension(package, name)``, serves the rest of the
+package too: ``bessel`` binds ``jv`` from ``scipy.special._special_ufuncs``
+the same way, and ``_oracle2d`` takes the band Cholesky routines ``dpbtrf``
+and ``dpbtrs`` from the ``_flapack`` bound here, so ``scx verify`` loads
+neither the ``scipy.special`` package nor ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -78,16 +84,16 @@ import numpy as np
 from .errors import NumericalFailureError
 
 
-def _scipy_linalg_extension(name: str):
-    """The compiled module ``scipy.linalg.<name>``, loaded from its file and
-    registered under its full name, or None if the file is not found."""
-    full = "scipy.linalg." + name
+def _scipy_extension(package: str, name: str):
+    """The compiled module ``scipy.<package>.<name>``, loaded from its file
+    and registered under its full name, or None if the file is not found."""
+    full = f"scipy.{package}.{name}"
     if full in sys.modules:
         return sys.modules[full]
     scipy = importlib.util.find_spec("scipy")  # imports nothing
     if scipy is None or not scipy.submodule_search_locations:
         return None
-    dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+    dirs = [os.path.join(d, package) for d in scipy.submodule_search_locations]
     found = importlib.machinery.PathFinder.find_spec(name, dirs)
     if found is None or found.origin is None:
         return None
@@ -102,10 +108,10 @@ def _scipy_linalg_extension(name: str):
     return module
 
 
-_lapack = _scipy_linalg_extension("_flapack")
+_lapack = _scipy_extension("linalg", "_flapack")
 if _lapack is None:  # an install layout without the file: the public modules
     from scipy.linalg import lapack as _lapack
-_blas = _scipy_linalg_extension("_fblas")
+_blas = _scipy_extension("linalg", "_fblas")
 if _blas is None:
     from scipy.linalg import blas as _blas
 dptsv, dpttrf = _lapack.dptsv, _lapack.dpttrf

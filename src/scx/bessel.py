@@ -5,11 +5,23 @@ j_nu^2 for nu = n/2 - 1, so the stabilized curvature of the flat ball is
 4 j_nu^2 / r^2.  j_nu has two independent routes.  ``closed_forms`` finds it
 as a tridiagonal eigenvalue with ``math`` alone; the closed forms and the
 hyperbolic c(r) window use that route, so they load no scipy.  This module
-is the other route, and it loads ``scipy.special``: first_zero bisects
-``special.jv`` on the Qu-Wong bracket to two adjacent floats, and
-``verify bessel`` and the acceptance tests check it.  Its enclosure is the
-bracket bisected; qw_enclosure is the paper's formula for nu > 1/2.
-flat_ball_sc reads ``closed_forms.closed_form``, which holds every closed form.
+is the other route: first_zero bisects scipy's ``jv`` ufunc on the Qu-Wong
+bracket to two adjacent floats, and ``verify bessel`` and the acceptance
+tests check it.  Its enclosure is the bracket bisected; qw_enclosure is the
+paper's formula for nu > 1/2.  flat_ball_sc reads ``closed_forms.closed_form``,
+which holds every closed form.
+
+``jv`` is bound as ``_tridiag`` binds LAPACK: the compiled module
+``scipy.special._special_ufuncs`` is loaded from its file and registered
+under its full name, without running ``scipy/special/__init__``, which
+loads 66 scipy modules, ``scipy._lib`` among them, and 60 more of numpy's
+(scipy 1.17.1).  ``scipy.special.jv`` is that same ufunc object, so every
+value is the public function's, bit for bit; a later ``import
+scipy.special`` reuses the module, and one imported first supplies it.
+Only where the file or its ``jv`` is missing (scipy releases that keep
+``jv`` in ``_ufuncs``) is ``jv`` taken from the public package.  ``jv`` is
+bound, not re-derived, because first_zero's domain runs to nu = 1e15, where
+a fixed quadrature of Schlaefli's integral cannot place the zero to the ulp.
 """
 
 from __future__ import annotations
@@ -18,11 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._tridiag import _scipy_extension
 from .closed_forms import closed_form, qu_wong_bounds
 from .errors import InvalidParameterError, NumericalFailureError
 from .geometry import make_space_form_ball
+
+jv = getattr(_scipy_extension("special", "_special_ufuncs"), "jv", None)
+if jv is None:  # an install layout without the file: the public package
+    from scipy.special import jv
 
 # Enclosure constant a = (9 pi / 8)^(2/3) (1 + eps) with eps at its stated
 # bound 0.13 (8 / (2.847 pi))^2.  The base value (9 pi/8)^(2/3) ~ 2.32; the
@@ -43,13 +59,13 @@ class BesselZero:
 
 
 def bessel_j(nu: float, x) -> float | np.ndarray:
-    """J_nu(x) for x >= 0 and nu >= -1/2."""
-    if nu < -0.5:
-        raise InvalidParameterError(f"order must be >= -1/2, got nu={nu}")
+    """J_nu(x) for finite x >= 0 and finite nu >= -1/2."""
+    if not -0.5 <= nu < math.inf:
+        raise InvalidParameterError(f"order must be finite and >= -1/2, got nu={nu}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise InvalidParameterError("argument must be nonnegative")
-    out = special.jv(nu, arr)
+    if not np.all((arr >= 0) & (arr < math.inf)):  # false on nan
+        raise InvalidParameterError("argument must be finite and nonnegative")
+    out = jv(nu, arr)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -89,7 +105,7 @@ def first_zero(nu: float) -> BesselZero:
 
     The bracket is first widened by _WIDEN_ULPS at each end, since from
     nu ~ 1e11 on it is only a few ulps wide and its rounded ends can lie on
-    the wrong side of the zero of ``special.jv``.  The float of the final
+    the wrong side of the zero of ``jv``.  The float of the final
     pair with the smaller |J_nu| is returned, with the widened bracket as
     its enclosure.
     """
@@ -99,7 +115,7 @@ def first_zero(nu: float) -> BesselZero:
     lo -= _WIDEN_ULPS * math.ulp(lo)
     hi += _WIDEN_ULPS * math.ulp(hi)
     enclosure = (lo, hi)
-    f_lo, f_hi = float(special.jv(nu, lo)), float(special.jv(nu, hi))
+    f_lo, f_hi = float(jv(nu, lo)), float(jv(nu, hi))
     if not f_lo > 0 > f_hi:
         raise NumericalFailureError(
             f"no sign change of J_{nu} across its zero bracket",
@@ -107,7 +123,7 @@ def first_zero(nu: float) -> BesselZero:
         )
     # halving a float bracket ends at two adjacent floats
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = float(special.jv(nu, mid))
+        f_mid = float(jv(nu, mid))
         if f_mid > 0:
             lo, f_lo = mid, f_mid
         else:

@@ -19,8 +19,11 @@ closed form loads no scipy module (flat balls take j_nu from
 eigensolve, ``table`` and ``--method variational`` load only the compiled
 ``scipy.linalg._flapack`` and ``_fblas``, from their files, and not the
 ``scipy.linalg`` package (see ``_tridiag``); a hyperbolic ball's c(r)
-window takes j_nu from the same ``math`` route.  Only ``verify`` loads
-``scipy.special``, for the independent j_nu of ``bessel.first_zero``.
+window takes j_nu from the same ``math`` route.  ``verify`` adds only the
+compiled ``scipy.special._special_ufuncs``, for the ``jv`` behind the
+independent j_nu of ``bessel.first_zero``, and loads neither the
+``scipy.special`` package nor ``scipy.sparse`` (its 2-D oracle factors with
+the same ``_flapack``).
 Every method refuses a ``--tol`` that is not finite and positive and a
 ``--grid`` below MIN_GRID, whether or not it reads them.
 

@@ -4,7 +4,7 @@ closed_form is the independent route that checks the eigensolve.  It imports
 no scipy module, and no numpy beyond what ``geometry`` loads: the Bessel
 zeros j_nu of its flat-ball branch (and of ``comparison.hyperbolic_c_window``)
 come from first_bessel_zero, which uses only ``math``.  ``bessel.first_zero``
-finds the same zeros on the independent ``scipy.special`` route, which
+finds the same zeros on the independent route of scipy's ``jv`` ufunc, which
 ``verify bessel`` checks.
 """
 

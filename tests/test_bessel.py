@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from scx import bessel
 from scx.bessel import (
     bessel_j,
     first_zero,
@@ -92,6 +95,38 @@ class TestBesselJ:
             bessel_j(-0.75, 1.0)
         with pytest.raises(InvalidParameterError):
             bessel_j(0.0, -1.0)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_refused(self, nu):
+        with pytest.raises(InvalidParameterError, match="order must be finite and >= -1/2"):
+            bessel_j(nu, 1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [1.0, math.nan], [0.5, math.inf]])
+    def test_non_finite_argument_refused(self, x):
+        with pytest.raises(InvalidParameterError, match="argument must be finite and nonnegative"):
+            bessel_j(0.0, x)
+
+    def test_jv_is_the_compiled_ufunc(self):
+        assert bessel.jv is sys.modules["scipy.special._special_ufuncs"].jv
+
+    def test_missing_file_falls_back_to_the_public_jv(self):
+        # hide the compiled file from the direct load, as an unknown install
+        # layout would; the public scipy.special import still finds it
+        code = (
+            "import importlib.machinery\n"
+            "find = importlib.machinery.PathFinder.find_spec\n"
+            "def hide(name, path=None, target=None):\n"
+            "    return None if name == '_special_ufuncs' else find(name, path, target)\n"
+            "importlib.machinery.PathFinder.find_spec = hide\n"
+            "import sys\n"
+            "from scx import bessel\n"
+            "assert 'scipy.special' in sys.modules  # the fallback ran\n"
+            "import scipy.special\n"
+            "assert bessel.jv is scipy.special.jv\n"
+            "print(bessel.first_zero(2.5).j.hex())\n")
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert out == [first_zero(2.5).j.hex()]
 
 
 class TestFirstZero:

@@ -2,8 +2,9 @@
 interpreter: ``import scx`` loads no numpy or scipy, no closed form loads
 scipy, an eigensolve, ``table`` and ``--method variational`` load only the
 compiled ``scipy.linalg._flapack`` and ``_fblas`` (not the ``scipy.linalg``
-package, nor any ``scipy._lib`` module), and no timed pass imports a module
-of its own.
+package, nor any ``scipy._lib`` module), ``verify`` adds only the compiled
+``scipy.special._special_ufuncs`` (not the ``scipy.special`` package, nor
+any ``scipy.sparse`` module), and no timed pass imports a module of its own.
 """
 
 import json
@@ -24,7 +25,8 @@ print(json.dumps({
                     - {"version"}),
     "numpy": "numpy" in sys.modules,
     "heavy": sorted(m for m in sys.modules
-                    if m == "scipy.linalg" or m.startswith("scipy._lib")),
+                    if m in ("scipy.linalg", "scipy.special")
+                    or m.startswith(("scipy._lib", "scipy.sparse"))),
 }))
 """
 
@@ -117,11 +119,27 @@ def test_scipy_linalg_imported_first_supplies_the_routines():
             "assert blas.ddot is _tridiag.ddot and blas.dnrm2 is _tridiag.dnrm2\n")
 
 
+def test_scipy_special_imported_later_reuses_the_bound_jv():
+    got = _loaded("from scx import bessel\n"
+                  "import scipy.special\n"
+                  "assert scipy.special.jv is bessel.jv, 'jv'\n")
+    assert "scipy.special" in got["heavy"]
+
+
+def test_scipy_special_imported_first_supplies_jv():
+    _loaded("import scipy.special\n"
+            "from scx import bessel\n"
+            "assert scipy.special.jv is bessel.jv\n")
+
+
 def test_verify_loads_what_the_suites_import():
+    # jv from scipy.special._special_ufuncs and the band Cholesky from
+    # scipy.linalg._flapack, each loaded from its file: no scipy.special or
+    # scipy.linalg package, and no scipy.sparse module
     via_cli = _after_cli("verify", "bessel")
     direct = _loaded("from scx.verify import run_suite\n")
-    assert via_cli["scipy"] == direct["scipy"]
-    assert {"linalg", "sparse", "special"} <= set(direct["scipy"])
+    assert via_cli["scipy"] == direct["scipy"] == ["linalg", "special"]
+    assert via_cli["heavy"] == direct["heavy"] == []
     assert set(direct["scx"]) <= set(via_cli["scx"])
 
 
@@ -135,7 +153,7 @@ def test_verify_all_pass_imports_nothing():
                   "new = sorted(m for m in set(sys.modules) - before\n"
                   "             if m.startswith(('scx.', 'scipy.')))\n"
                   "assert new == [], new\n")
-    assert "scx.verify" in got["scx"]
+    assert "scx.verify" in got["scx"] and got["heavy"] == []
 
 
 def test_sweep_solves_import_nothing_after_warm_up():

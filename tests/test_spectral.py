@@ -562,9 +562,20 @@ class TestEigenProduct:
                     want[k, k - 1] = -1.0 / hy**2
                 if j < ny - 1:
                     want[k, k + 1] = -1.0 / hy**2
-        got = five_point_laplacian(a, b, target_h).tocoo()
-        assert got.shape == (nx * ny, nx * ny)
-        assert dict(zip(zip(got.row.tolist(), got.col.tolist()), got.data.tolist())) == want
+        # lower band storage, ab[d, k] = A[k + d, k], with the unknowns run
+        # along the shorter side first: band index k is node i * ny + j
+        ab = five_point_laplacian(a, b, target_h)
+        n, p = nx * ny, min(nx, ny)
+        assert ab.shape == (p + 1, n)
+        k = np.arange(n)
+        node = k if ny <= nx else (k % nx) * ny + k // nx
+        got = {}
+        for d in range(p + 1):
+            assert not ab[d, n - d:].any()  # past the matrix
+            for col in np.flatnonzero(ab[d, :n - d]).tolist():
+                row = col + d
+                got[node[row], node[col]] = got[node[col], node[row]] = ab[d, col]
+        assert got == want
 
     def test_box_equals_product_of_intervals(self):
         box = sc_stab(make_box([1.0, 2.0, 3.0]), 400).sc_stab

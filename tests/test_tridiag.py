@@ -818,7 +818,7 @@ class TestRoutineBinding:
         assert _tridiag.dnrm2 is sys.modules["scipy.linalg._fblas"].dnrm2
 
     def test_missing_file_is_none(self):
-        assert _tridiag._scipy_linalg_extension("_scx_no_such_module") is None
+        assert _tridiag._scipy_extension("linalg", "_scx_no_such_module") is None
         assert "scipy.linalg._scx_no_such_module" not in sys.modules
 
     def test_load_error_leaves_nothing_registered(self, tmp_path, monkeypatch):
@@ -828,7 +828,7 @@ class TestRoutineBinding:
         fake.submodule_search_locations = [str(tmp_path)]
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
         with pytest.raises(ImportError, match="boom"):
-            _tridiag._scipy_linalg_extension("_scx_broken")
+            _tridiag._scipy_extension("linalg", "_scx_broken")
         assert "scipy.linalg._scx_broken" not in sys.modules
 
     def test_missing_files_fall_back_to_public_modules(self):
