@@ -13,7 +13,12 @@ cannot hold.  It is recovered only asymptotically (c -> 1 as r -> infinity).
 
 import argparse
 
-from scx.comparison import hyperbolic_c, hyperbolic_c_window, hyperbolic_sc
+from scx.comparison import (
+    PUBLISHED_C_WINDOW,
+    hyperbolic_c,
+    hyperbolic_c_window,
+    hyperbolic_sc,
+)
 
 
 def main() -> None:
@@ -23,6 +28,7 @@ def main() -> None:
                         default=[1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0])
     args = parser.parse_args()
 
+    lo_pub, hi_pub = PUBLISHED_C_WINDOW
     print(f"{'n':>2} {'r':>6} {'c(r)':>10} {'proven window':>22} "
           f"{'in [1/6, 1]':>12} {'sc':>10}")
     for n in (2, 3, 4):
@@ -30,7 +36,7 @@ def main() -> None:
             c = hyperbolic_c(n, r, args.grid)
             lo, hi = hyperbolic_c_window(n, r)
             window = f"[{lo:.5f}, {hi:.5f}]"
-            inside = "yes" if 1 / 6 <= c <= 1 else "no"
+            inside = "yes" if lo_pub <= c <= hi_pub else "no"
             sc = hyperbolic_sc(n, r, args.grid)
             print(f"{n:>2} {r:>6.2f} {c:>10.4f} {window:>22} {inside:>12} {sc:>10.4f}")
 

@@ -26,11 +26,6 @@ independent j_nu of ``bessel.first_zero``, and loads neither the
 the same ``_flapack``).
 Every method refuses a ``--tol`` that is not finite and positive and a
 ``--grid`` below MIN_GRID, whether or not it reads them.
-
-``compute`` (eigensolve) treats ``--grid`` as the start of a ladder: while
-the grid-doubling certificate fails, the grid is doubled, up to
-MAX_GRID_FACTOR times the start.  The reported ``grid`` is the fine grid of
-the pair that passed.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID, SUITES
 from .errors import (
@@ -65,8 +60,6 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-# the eigensolve ladder of `compute` stops at this multiple of --grid
-MAX_GRID_FACTOR = 16
 # products nest at most this many levels deep in a spec
 MAX_NESTING = 64
 
@@ -267,7 +260,9 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
             f"method {method!r} computes sc at beta = 0.25 only, got beta = {ms.beta:g}"
         )
     if method == "eigensolve":
-        res = _ladder_solve(ms)
+        from .spectral import lambda1_beta
+
+        res = lambda1_beta(man, ms.beta, ms.grid, ms.tol)
         report.update({
             "grid": res.grid_size,
             "lambda1": res.lambda1,
@@ -284,12 +279,13 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
                 lam0 = res.lambda1 + res.beta * n * (n - 1)  # beta * sigma = -beta n(n-1)
             else:
                 # adding beta n(n-1) back cancels at large |beta|: solve beta = 0
-                lam0 = _ladder_solve(replace(ms, beta=0.0)).lambda1
+                lam0 = lambda1_beta(man, 0.0, ms.grid, ms.tol).lambda1
             c = comparison.hyperbolic_c_from_lambda(n, r, lam0)
+            lo, hi = comparison.PUBLISHED_C_WINDOW
             report["c_r"] = c
             report["c_r_proven_window"] = list(comparison.hyperbolic_c_window(n, r))
-            report["c_r_reference_window"] = [1.0 / 6.0, 1.0]
-            report["within_reference_window"] = bool(1 / 6 <= c <= 1)
+            report["c_r_reference_window"] = [lo, hi]
+            report["within_reference_window"] = bool(lo <= c <= hi)
     elif method == "closed_form":
         from .closed_forms import closed_form
 
@@ -316,21 +312,6 @@ def compute_report(ms: ManifoldSpec, method: str, seed: int) -> dict:
     else:
         raise InvalidParameterError(f"unknown method {method!r}")
     return report
-
-
-def _ladder_solve(ms: ManifoldSpec):
-    """lambda1_beta from m = ms.grid, doubling m while the grid-doubling
-    certificate fails, up to MAX_GRID_FACTOR * ms.grid."""
-    from .spectral import CERTIFICATE_FAILED, lambda1_beta
-
-    m = ms.grid
-    while True:
-        try:
-            return lambda1_beta(ms.manifold, ms.beta, m, ms.tol)
-        except NumericalFailureError as exc:
-            if str(exc) != CERTIFICATE_FAILED or 2 * m > MAX_GRID_FACTOR * ms.grid:
-                raise
-        m *= 2
 
 
 def table_rows(grid: int = DEFAULT_GRID) -> list[dict]:

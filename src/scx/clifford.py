@@ -100,7 +100,7 @@ def make_curvature(m: int, fiber_dim: int, blocks) -> CurvatureData:
     """Assemble CurvatureData from {(i, j): block} with i < j, filling R_ji = -R_ij."""
     R = np.zeros((m, m, fiber_dim, fiber_dim), dtype=complex)
     for (i, j), block in blocks.items():
-        if not 0 <= i < m and 0 <= j < m:
+        if not (0 <= i < m and 0 <= j < m):
             raise InvalidParameterError(f"index pair {(i, j)} out of range for m={m}")
         if i == j:
             raise InvalidParameterError("diagonal curvature blocks must vanish")

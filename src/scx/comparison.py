@@ -51,6 +51,8 @@ from .spectral import (
 )
 
 _ADMISSIBILITY_TOL = 1e-9
+# the published window claimed for hyperbolic_c at r >= 1 (see README)
+PUBLISHED_C_WINDOW = (1.0 / 6.0, 1.0)
 # model_eigenfunction: degrees of the collocated Chebyshev series, tried in
 # turn, and the largest of its last four coefficients accepted, relative to
 # the largest one
@@ -261,6 +263,8 @@ def admissible_catalog(kappa: float, count: int, seed: int, dims=(2, 3, 4)):
     curvature mu at or below the actual boundary value, rejecting draws for
     which the model ball does not exist.
     """
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cases = []
     guard = 0

@@ -208,21 +208,22 @@ class ModelManifold:
         return f"product ({inner})"
 
 
-def _dimension(n) -> int:
-    """n as an int: integers and integer-valued floats only, never truncated."""
-    if isinstance(n, numbers.Integral) or (
-            isinstance(n, numbers.Real) and float(n).is_integer()):
-        return int(n)
-    raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
+def _integer(x, what: str, least: int) -> int:
+    """x as an int of at least ``least``: integers and integer-valued floats
+    only, never truncated; ``what`` names x in the refusals."""
+    if not (isinstance(x, numbers.Integral) or (
+            isinstance(x, numbers.Real) and float(x).is_integer())):
+        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
+    if x < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {int(x)}")
+    return int(x)
 
 
 def _space_form(n, kappa: float, r: float, min_dim: int = 2) -> SpaceForm:
     """The profile of the geodesic r-ball in the simply connected n-space of
     curvature kappa; refused unless that ball exists and r lies in
     [MIN_SIZE, MAX_RADIUS]."""
-    n = _dimension(n)
-    if n < min_dim:
-        raise InvalidParameterError(f"dimension must be >= {min_dim}, got {n}")
+    n = _integer(n, "dimension", min_dim)
     if not math.isfinite(kappa):
         raise InvalidParameterError(f"curvature must be finite, got {kappa}")
     # a kappa < 0 ball is the hyperbolic ball of radius sqrt(-kappa) r, rescaled
@@ -293,9 +294,7 @@ def make_radial_custom(
 
     ``warp_prime`` defaults to a central finite difference of ``warp``.
     """
-    n = _dimension(n)
-    if n < 2:
-        raise InvalidParameterError(f"dimension must be >= 2, got {n}")
+    n = _integer(n, "dimension", 2)
     if warp_prime is None:
         def warp_prime(d, _w=warp, _r=float(r_max)):
             step = 1e-6 * _r
@@ -358,9 +357,7 @@ def radius_from_mean_curvature(n: int, kappa: float, mu: float) -> float:
     refuses what make_space_form_ball refuses, so that mean_curvature_of_ball
     accepts every radius it returns.
     """
-    n = _dimension(n)
-    if n < 2:
-        raise InvalidParameterError(f"dimension must be >= 2, got {n}")
+    n = _integer(n, "dimension", 2)
     t = mu / (n - 1)
     if kappa == 0:
         if mu <= 0:

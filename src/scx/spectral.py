@@ -42,15 +42,18 @@ beta = 1/4 (SpectralResult.sc_stab).  Results carry a two-grid convergence
 certificate and a Richardson extrapolation (4 lam(2m) - lam(m))/3; where
 4 lam(2m) overflows, it is formed as lam(2m) + (lam(2m) - lam(m))/3, and a
 value or product sum that still overflows raises NumericalFailureError.
+m is where a ladder starts: while a pair (m, 2m) fails its certificate (10
+tol or more), lambda1_beta solves (2m, 4m), up to MAX_GRID_FACTOR m, and
+there raises with every rung's certificate; factors climb on their own.
 
-lambda1_beta solves for eigenvalues only; it caches the pair (lambda_1 at m,
-lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache of at most
-_CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid only, and
-_solve does the pair coarse first: _coarsen gives the operator at m from the
-fine one (normal form: Q and the fit at the coarse nodes; finite volumes:
-the fine cells merged in pairs, whose masses are the same cell integrals by
-an 8-point composite rule), bitwise on the nodes of discretize at m, and in
-normal form bitwise discretize's operator.  It is solved
+lambda1_beta solves for eigenvalues only; it caches each rung's pair
+(lambda_1 at m, lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache
+of at most _CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid
+only, and _solve does the pair coarse first: _coarsen gives the operator at
+m from the fine one (normal form: Q and the fit at the coarse nodes; finite
+volumes: the fine cells merged in pairs, whose masses are the same cell
+integrals by an 8-point composite rule), bitwise on the nodes of discretize
+at m, and in normal form bitwise discretize's operator.  It is solved
 cold, and the fine one from that eigenvector, prolonged (normal form:
 linearly, weights 3/4 and 1/4; finite volumes: to both halves of each cell)
 and from a first shift at the coarse value, so that it takes one or two
@@ -84,12 +87,12 @@ import numpy as np
 from ._constants import DEFAULT_GRID, DEFAULT_TOL, MIN_GRID
 from ._tridiag import smallest_eigenpair
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
-from .geometry import Kind, ModelManifold, RadialProfile, SpaceForm, product
+from .geometry import Kind, ModelManifold, RadialProfile, SpaceForm, _integer, product
 
 _TINY = float(np.finfo(float).tiny)
 
-# message of the NumericalFailureError raised when the two grids disagree
-CERTIFICATE_FAILED = "grid-doubling certificate failed"
+# lambda1_beta doubles its grid up to this multiple of the start grid
+MAX_GRID_FACTOR = 16
 
 # (lambda_1 at m, lambda_1 at 2m) by (manifold key, beta, m), least recently
 # used first
@@ -187,8 +190,8 @@ def operator_grid(man: ModelManifold, m: int) -> Grid:
         raise InvalidKindError(
             "product manifolds have no single grid; use eigen_product"
         )
-    if m < MIN_GRID:
-        raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {m}")
+    if type(m) is not int or m < MIN_GRID:  # one test on the common path
+        m = _integer(m, "grid size", MIN_GRID)
     if man.kind == Kind.INTERVAL:
         a, b = man.params
         h = (b - a) / (m + 1)
@@ -477,15 +480,16 @@ def lambda1_beta(
 ) -> SpectralResult:
     """First Dirichlet eigenvalue of -Lap + beta*sigma with a two-grid certificate.
 
-    Products and boxes are solved factor by factor and the results added.
+    m starts the grid ladder (module docstring).  Products and boxes are
+    solved factor by factor, each on its own ladder, and the results added.
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta}")
     # checked here, for every kind: a radial pair discretizes only 2m
-    if m < MIN_GRID:
-        raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {m}")
+    if type(m) is not int or m < MIN_GRID:  # one test on the common path
+        m = _integer(m, "grid size", MIN_GRID)
     if man.is_product_like:
         res = _add_factors([lambda1_beta(f, beta, m, tol) for f in man.factors])
         if not (math.isfinite(res.lambda1) and math.isfinite(res.richardson_estimate)):
@@ -494,21 +498,27 @@ def lambda1_beta(
                 lambda1=res.lambda1, richardson=res.richardson_estimate,
             )
         return res
-    key = (man.key(), beta, m)
-    pair = _cache.get(key)
-    if pair is None:
-        pair = _cache[key] = _solve_pair(man, beta, m)
-        if len(_cache) > _CACHE_ENTRIES:
-            _cache.popitem(last=False)
-    else:
-        _cache.move_to_end(key)
-    lam_c, lam_f = pair
-    cert = abs(lam_c - lam_f) / max(abs(lam_f), 1e-300)
-    if cert >= 10 * tol:
-        raise NumericalFailureError(
-            CERTIFICATE_FAILED,
-            m=m, coarse=lam_c, fine=lam_f, certificate=cert, tol=tol,
-        )
+    failed = ()  # (m, certificate) of each pair that failed, from the start
+    while True:
+        key = (man.key(), beta, m)
+        pair = _cache.get(key)
+        if pair is None:
+            pair = _cache[key] = _solve_pair(man, beta, m)
+            if len(_cache) > _CACHE_ENTRIES:
+                _cache.popitem(last=False)
+        else:
+            _cache.move_to_end(key)
+        lam_c, lam_f = pair
+        cert = abs(lam_c - lam_f) / max(abs(lam_f), 1e-300)
+        if not cert >= 10 * tol:
+            break
+        failed += ((m, cert),)
+        if m == MAX_GRID_FACTOR * failed[0][0]:
+            raise NumericalFailureError(
+                "grid-doubling certificate failed", m=m, coarse=lam_c, fine=lam_f,
+                certificate=cert, tol=tol, rungs=dict(failed),
+            )
+        m *= 2
     richardson = (4.0 * lam_f - lam_c) / 3.0
     if not math.isfinite(richardson):  # 4 lam_f overflows above ~4.5e307
         richardson = lam_f + (lam_f - lam_c) / 3.0

@@ -74,6 +74,8 @@ def maximize(
     """Best inf-functional value over the seeded trial family vs 4 lambda_1."""
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     eigen_value = 4.0 * lambda1_beta(base, 0.25, max(m, DEFAULT_GRID // 4)).lambda1
     # Eigenfunction for the trial family is solved on the trial grid itself,
     # by finite volumes, whose samples are accurate next to the centre too.

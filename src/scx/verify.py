@@ -382,7 +382,8 @@ def hyperbolic_suite(seed: int = 0, grid: int | None = None):
                       worst > 0, worst, f"min sc {worst:.3f}"))
 
     # Published window checks; measured values exceed the window (see README).
-    lo_w, hi_w = 1.0 / 6.0 - 0.02, 1.0 + 0.02
+    lo, hi = comparison.PUBLISHED_C_WINDOW
+    lo_w, hi_w = lo - 0.02, hi + 0.02
     worst = -math.inf
     vals = {}
     for n in (2, 3, 4):
@@ -485,8 +486,8 @@ _SUITE_FUNCS = {
 def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckResult]:
     """The checks of suite ``name`` ("all": every suite in turn).
 
-    ``grid`` replaces each suite's default grids; one below MIN_GRID is
-    refused here, for every suite, before any suite runs.
+    ``grid`` replaces each suite's default grids; a grid below MIN_GRID and
+    a negative ``seed`` are refused here, for every suite, before any runs.
     """
     if name != "all" and name not in _SUITE_FUNCS:
         raise InvalidParameterError(
@@ -494,6 +495,8 @@ def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckRe
         )
     if grid is not None and grid < MIN_GRID:
         raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {grid}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if name == "all":
         # one suite's numerical failure becomes its failed check, so the
         # other suites still report their verdicts

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scx import comparison, verify
-from scx.cli import MAX_GRID_FACTOR, MAX_NESTING, main, parse_spec, render, table_rows
+from scx.cli import MAX_NESTING, main, parse_spec, render, table_rows
 from scx.errors import InvalidParameterError, NumericalFailureError, SpecSyntaxError
 from scx.geometry import (
     MAX_RADIUS,
@@ -23,6 +23,7 @@ from scx.geometry import (
     make_spherical_cap,
     product,
 )
+from scx.spectral import MAX_GRID_FACTOR
 
 
 class TestParse:
@@ -510,6 +511,11 @@ class TestComputeCommand:
                      "--beta", "0.5"]) == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_variational_negative_seed_exits_2(self, capsys):
+        assert main(["compute", "interval:0,1", "--method", "variational",
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestGridLadder:
     @pytest.fixture
@@ -640,6 +646,20 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"grid size must be >= 16, got {grid}" in captured.err
+
+    @pytest.mark.parametrize("suite", ["all", "monotonicity", "additivity", "bessel"])
+    def test_negative_seed_exits_2(self, capsys, monkeypatch, suite):
+        # refused for every suite, also one that reads no seed, before any
+        # suite runs
+        def unreachable(seed=0, grid=None):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "_SUITE_FUNCS",
+                            {name: unreachable for name in verify._SUITE_FUNCS})
+        assert main(["verify", suite, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

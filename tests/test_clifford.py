@@ -74,6 +74,13 @@ class TestCurvatureEndomorphism:
         with pytest.raises(InvalidParameterError):
             curvature_endomorphism(rep, random_curvature(3, 2, rng))
 
+    @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 3), (3, 0)])
+    def test_index_pair_out_of_range(self, pair):
+        # both indices are checked: (0, -1) would write R[0, 2] and (0, 3)
+        # would index past R
+        with pytest.raises(InvalidParameterError, match="out of range for m=3"):
+            make_curvature(3, 1, {pair: [[1j]]})
+
     def test_invalid_curvature_rejected(self):
         bad = np.zeros((2, 2, 1, 1), dtype=complex)
         bad[0, 1] = 1.0  # not anti-Hermitian, not antisymmetric

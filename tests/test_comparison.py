@@ -82,6 +82,10 @@ class TestCompareScStab:
             a, b = compare_sc_stab(case, 500)
             assert a >= b - 1e-6
 
+    def test_catalog_seed_must_not_be_negative(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            admissible_catalog(0.0, 2, seed=-1)
+
 
 @pytest.fixture
 def violating_sc_stab(monkeypatch):

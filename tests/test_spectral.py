@@ -526,6 +526,91 @@ class TestSolveParameters:
         hyp = lambda1_beta(make_hyperbolic_ball(3, 1000.0), 0.25, 4000)
         assert ball.lambda1 == pytest.approx(1e6 * hyp.lambda1, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1000.5, 64.25, math.inf, math.nan, "64"])
+    def test_grid_size_must_be_an_integer(self, m):
+        # taken as is, 1000.5 would build 1001 nodes with h = 1/1000.5, and
+        # so a Dirichlet face at r = 1.0005
+        man = make_space_form_ball(3, 0.0, 1.0)
+        for solve in (lambda: discretize(man, 0.25, m), lambda: sc_stab(man, m),
+                      lambda: operator_grid(make_interval(0, 1), m),
+                      lambda: sc_stab(make_box([1, 2]), m)):
+            with pytest.raises(InvalidParameterError, match="grid size must be an integer"):
+                solve()
+
+    @pytest.mark.parametrize("m", [1e3, 1000.0, np.int64(1000), np.float64(1000)])
+    def test_integer_valued_grid_sizes_taken(self, m):
+        man = make_space_form_ball(3, 0.0, 1.0)
+        res = sc_stab(man, m)
+        assert type(res.grid_size) is int and res.grid_size == 2000
+        assert res == sc_stab(man, 1000)
+        assert discretize(man, 0.25, m).grid.size == 1000
+
+
+class TestGridLadder:
+    """lambda1_beta takes m as the start of a ladder of grid pairs."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """(kind, m) of each discretize call, in order, from an empty cache."""
+        seen = []
+        real = spectral.discretize
+
+        def recording(man, beta, m):
+            seen.append((man.kind, m))
+            return real(man, beta, m)
+
+        monkeypatch.setattr(spectral, "discretize", recording)
+        monkeypatch.setattr(spectral, "_cache", OrderedDict())
+        return seen
+
+    def test_interval_climbs_to_the_pair_that_passes(self, grids):
+        # the certificate fails at the pairs from 64, 128 and 256
+        res = sc_stab(make_interval(0, 1), 64, tol=1e-6)
+        assert res.grid_size == 512
+        assert res.certificate < 1e-5
+        assert [m for _, m in grids] == [64, 128, 128, 256, 256, 512]
+
+    @pytest.mark.parametrize("man,expect", [
+        (make_space_form_ball(3, 0.0, 1.0),
+         (9.869596283667779, 9.869604401078679, 2.4673990708207805e-06)),
+        (make_hyperbolic_ball(2, 3.0),
+         (0.4539616193842487, 0.45396218917816783, 3.7654763844836097e-06)),
+        (make_spherical_cap(4, 2.0),
+         (4.762809511986019, 4.762814808269021, 3.3360244553271205e-06)),
+    ])
+    def test_pass_at_the_start_grid_is_one_pair(self, grids, man, expect):
+        # a pass at the start grid solves the one pair (500, 1000); its
+        # values, bit for bit, as the single-pair solve gave them
+        res = sc_stab(man, 500)
+        assert grids == [(man.kind, 1000)]
+        assert (res.lambda1, res.richardson_estimate, res.certificate) == expect
+        assert res.grid_size == 1000
+
+    def test_factor_passing_at_the_start_is_not_solved_again(self, grids):
+        # relative to lambda_1 ~ 1, the n = 3 hyperbolic 100-ball passes at
+        # 64, while the interval climbs to the pair from 1024
+        hyp, interval = make_hyperbolic_ball(3, 100.0), make_interval(0, 1)
+        res = lambda1_beta(product([hyp, interval]), 0.0, 64, tol=1e-7)
+        assert [m for kind, m in grids if kind == Kind.HYPERBOLIC_BALL] == [128]
+        assert res.grid_size == 2048
+        parts = [lambda1_beta(f, 0.0, 64, tol=1e-7) for f in (hyp, interval)]
+        assert [p.grid_size for p in parts] == [128, 2048]
+        assert res.lambda1 == parts[0].lambda1 + parts[1].lambda1
+        assert len(grids) == 1 + 10  # the cache served the second pass
+
+    def test_failure_lists_every_rung(self, grids):
+        assert spectral.MAX_GRID_FACTOR == 16
+        with pytest.raises(NumericalFailureError,
+                           match="^grid-doubling certificate failed$") as info:
+            lambda1_beta(make_interval(0, 1), 0.25, 64, tol=1e-12)
+        details = info.value.details
+        assert list(details["rungs"]) == [64, 128, 256, 512, 1024]
+        assert details["m"] == 1024 and details["tol"] == 1e-12
+        assert details["certificate"] == details["rungs"][1024]
+        assert all(c >= 1e-11 for c in details["rungs"].values())
+        # an interval discretizes both grids of each rung
+        assert [m for _, m in grids] == [64, 128, 128, 256, 256, 512, 512, 1024, 1024, 2048]
+
 
 class TestEigenProduct:
     def test_three_unit_intervals(self):

@@ -89,6 +89,10 @@ class TestMaximize:
         with pytest.raises(InvalidParameterError):
             maximize(make_interval(0, 1), trials=0)
 
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            maximize(make_interval(0, 1), trials=5, seed=-1, m=256)
+
 
 class TestMajorization:
     @pytest.mark.parametrize("man", CATALOG, ids=lambda m: m.describe())
