@@ -56,28 +56,20 @@ def _grid(a: float, b: float, target_h: float):
 
 
 def _fill(ab, p: int, hs: float, hl: float, shift: float = 0.0) -> None:
-    """Write A - shift into ``ab`` in lower band storage."""
+    """Write A - shift into ``ab`` in lower band storage: ``ab[d, k] =
+    A[k + d, k]``, and zero where k + d lies past the matrix.
+
+    A is five-point -Lap on the interior nodes of (0,a) x (0,b), Dirichlet,
+    with the nodes of _grid; with nx and ny interior nodes along x and y,
+    unknown (i, j) (i along x, j along y) has index i * ny + j where
+    ny <= nx, and j * nx + i otherwise, so the band is min(nx, ny) wide.
+    """
     n = ab.shape[1]
     ab.fill(0.0)
     ab[0] = 2.0 / hs**2 + 2.0 / hl**2 - shift
     ab[1, :-1] = -1.0 / hs**2
     ab[1, p - 1::p] = 0.0  # the last node of a line has no next one on it
     ab[p, :n - p] = -1.0 / hl**2
-
-
-def five_point_laplacian(a: float, b: float, target_h: float = 1.0 / 64):
-    """Five-point -Lap on the interior nodes of (0,a) x (0,b), Dirichlet, in
-    LAPACK's lower band storage: ``ab[d, k] = A[k + d, k]``, and zero where
-    k + d lies past the matrix.
-
-    With nx and ny interior nodes along x and y, unknown (i, j) (i along x,
-    j along y) has index i * ny + j where ny <= nx, and j * nx + i otherwise,
-    so the band is min(nx, ny) wide.
-    """
-    p, q, hs, hl = _grid(a, b, target_h)
-    ab = np.empty((p + 1, p * q), order="F")
-    _fill(ab, p, hs, hl)
-    return ab
 
 
 def _rayleigh_quotient(v, p: int, hs: float, hl: float) -> float:

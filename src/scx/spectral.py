@@ -48,26 +48,22 @@ there raises with every rung's certificate; factors climb on their own.
 
 lambda1_beta solves for eigenvalues only; it caches each rung's pair
 (lambda_1 at m, lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache
-of at most _CACHE_ENTRIES pairs.  On a miss it discretizes the fine grid
-only, and _solve does the pair coarse first: _coarsen gives the operator at
-m from the fine one (normal form: Q and the fit at the coarse nodes; finite
-volumes: the fine cells merged in pairs, whose masses are the same cell
-integrals by an 8-point composite rule), bitwise on the nodes of discretize
-at m, and in normal form bitwise discretize's operator.  It is solved
-cold, and the fine one from that eigenvector, prolonged (normal form:
-linearly, weights 3/4 and 1/4; finite volumes: to both halves of each cell)
-and from a first shift at the coarse value, so that it takes one or two
-inverse-iteration steps.  first_eigenpair solves through the same _solve,
-so lambda1 is always the value first_eigenpair gives at 2m, whatever was
-solved before, and the coarse value is a cold solve of the coarse operator.
-Interval grids do not nest, so an interval discretizes both grids and
-solves each cold, as first_eigenpair solves an operator of odd size.  A
-cold solve starts from _cold_hints: the exact discrete eigenvector on
-intervals and n = 3 normal forms (a sine at n > 3, and sqrt(t) times a
-quarter sine at n = 2), and on finite-volume radial operators the node
-weights times 1 - t^2.  An eigenfunction comes
-from first_eigenpair(discretize(man, beta, m)), or, with samples accurate
-next to the centre, from first_eigenpair(finite_volume_operator(...)).
+of at most _CACHE_ENTRIES pairs.  On a miss _solve_pair discretizes the
+fine grid, and its scheme decides how the pair is solved.  A normal form is
+solved coarse first: _coarsen gives the operator at m from the fine one, Q
+and the fit at the coarse nodes, bit for bit discretize's at m.  It is
+solved cold, and the fine one from that eigenvector, prolonged linearly
+(weights 3/4 and 1/4), and from a first shift at the coarse value, so that
+it takes one or two inverse-iteration steps.  A finite-volume pair
+(intervals, custom profiles, 1-D caps) discretizes the coarse grid too and
+solves each grid cold.  first_eigenpair solves its operator once, cold; it
+lies within the solver's slack of a pair's fine value.  A cold solve starts
+from _cold_hints: the exact discrete eigenvector on intervals and n = 3
+normal forms (a sine at n > 3, and sqrt(t) times a quarter sine at n = 2),
+and on finite-volume radial operators the node weights times 1 - t^2.  An
+eigenfunction comes from first_eigenpair(discretize(man, beta, m)), or,
+with samples accurate next to the centre, from
+first_eigenpair(finite_volume_operator(...)).
 
 Only what a result reads is computed: finite volumes never evaluate the
 drift A'/A, which Grid.drift computes from the profile on first read (the
@@ -112,12 +108,6 @@ class Grid:
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    @cached_property
-    def log_faces(self) -> np.ndarray:
-        """log A at the outer cell faces (i+1)h, computed on first read; radial only."""
-        faces = self.h * np.arange(1, self.size + 1)  # the last on the boundary
-        return np.asarray(self.profile.log_density(faces), dtype=float)
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -274,28 +264,39 @@ def _finite_volumes(grid: Grid, beta: float) -> DiscreteOperator:
         off = np.full(m - 1, -1.0 / h**2)
         log_mass = np.full(m, math.log(h))
         return DiscreteOperator(grid, diag, off, float(beta), log_mass)
-    return _radial_operator(grid, beta, grid.log_faces,
-                            _cell_log_masses(grid.profile, m, h))
+    # log A at the outer cell faces (i+1)h, the last on the boundary
+    lF = np.asarray(grid.profile.log_density(h * np.arange(1, m + 1)), dtype=float)
+    lM = _cell_log_masses(grid.profile, m, h)
+    diag = np.empty(m)
+    # the ratios overflow on very high-dimensional balls, and an overflowing
+    # ratio plus an overflowing -beta*sigma is nan; the solver refuses a
+    # non-finite entry with a NumericalFailureError
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(np.subtract(lF, lM, out=diag), out=diag)  # through each outer face
+        boundary = diag[-1] / h
+        diag[1:] += np.exp(lF[:-1] - lM[1:])  # through each inner face
+        diag /= h
+        diag[-1] += boundary  # Dirichlet face at h/2: flux 2A(R)/h
+        diag += beta * grid.sigma
+        off = np.add(lM[:-1], lM[1:])
+        off *= -0.5
+        off += lF[:-1]
+        np.exp(off, out=off)
+        off /= -h
+    return DiscreteOperator(grid, diag, off, float(beta), lM)
 
 
 def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
-    """The radial operator on cells of twice the width, from op's data.
+    """The normal-form operator on cells of twice the width, from op's grid.
 
-    Its nodes are the even-indexed faces of op and its faces the odd-indexed
-    ones, bitwise those of discretize at half the size.  In normal form it
-    is discretize's operator at half the size, bit for bit.  On finite
-    volumes each cell mass is the sum of its two halves, the same integral
-    by an 8-point composite rule, exact wherever discretize's 4-point rule
-    is.
+    Its nodes are the even-indexed faces of op, and it is discretize's
+    operator at half the size, bit for bit.
     """
     fine = op.grid
     nodes = fine.h * np.arange(1, fine.size + 1, 2)
     grid = Grid(nodes=nodes, h=2 * fine.h, profile=fine.profile,
                 sigma=np.asarray(fine.profile.scalar_curv(nodes), dtype=float))
-    if op.normal_form:
-        return _normal_operator(grid, op.beta)
-    lM = np.logaddexp(op.log_mass[0::2], op.log_mass[1::2])
-    return _radial_operator(grid, op.beta, fine.log_faces[1::2], lM)
+    return _normal_operator(grid, op.beta)
 
 
 def _normal_operator(grid: Grid, beta: float) -> DiscreteOperator:
@@ -345,29 +346,6 @@ def _normal_operator(grid: Grid, beta: float) -> DiscreteOperator:
     return DiscreteOperator(grid, diag, off, float(beta))
 
 
-def _radial_operator(grid: Grid, beta: float, lF: np.ndarray,
-                     lM: np.ndarray) -> DiscreteOperator:
-    """The finite-volume operator from log A at the faces and log cell masses."""
-    h, m = grid.h, grid.size
-    diag = np.empty(m)
-    # the ratios overflow on very high-dimensional balls, and an overflowing
-    # ratio plus an overflowing -beta*sigma is nan; the solver refuses a
-    # non-finite entry with a NumericalFailureError
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(np.subtract(lF, lM, out=diag), out=diag)  # through each outer face
-        boundary = diag[-1] / h
-        diag[1:] += np.exp(lF[:-1] - lM[1:])  # through each inner face
-        diag /= h
-        diag[-1] += boundary  # Dirichlet face at h/2: flux 2A(R)/h
-        diag += beta * grid.sigma
-        off = np.add(lM[:-1], lM[1:])
-        off *= -0.5
-        off += lF[:-1]
-        np.exp(off, out=off)
-        off /= -h
-    return DiscreteOperator(grid, diag, off, float(beta), lM)
-
-
 def _cold_hints(op: DiscreteOperator) -> dict:
     """Hints for a cold solve of op: a positive start vector shaped like its
     first eigenvector, whose Collatz-Wielandt value is the first shift.
@@ -409,39 +387,9 @@ def _sine_start(m: int, interval: bool) -> np.ndarray:
     return np.concatenate((half, half[:m // 2][::-1]))
 
 
-def _solve(op: DiscreteOperator):
-    """(lambda_1, v) of op, and lambda_1 of its coarse operator or None.
-
-    An even radial operator is solved on two levels: _coarsen(op) cold, then
-    op from the coarse eigenvector, prolonged, and from a first shift at the
-    coarse value; the solver falls back if that shift lies above lambda_1.
-    The prolongation is linear in normal form, with the ghost -v at both
-    ends; on finite volumes it copies each value to both halves of its cell
-    times the square root of the mass ratio, so that the function samples
-    are piecewise constant.  Intervals and odd sizes are solved cold.
-    """
-    if op.grid.profile is None or op.grid.size % 2:
-        return (*smallest_eigenpair(op.diag, op.offdiag, **_cold_hints(op)), None)
-    coarse = _coarsen(op)
-    lam_c, v_c = smallest_eigenpair(coarse.diag, coarse.offdiag, **_cold_hints(coarse))
-    if op.normal_form:
-        # linear, with the ghost -v at both ends: the fine nodes lie a
-        # quarter of a coarse cell either side of each coarse node
-        start = np.repeat(0.75 * v_c, 2)
-        quarter = 0.25 * v_c
-        start[2::2] += quarter[:-1]
-        start[1:-1:2] += quarter[1:]
-        start[0] -= quarter[0]
-        start[-1] -= quarter[-1]
-    else:
-        start = np.repeat(v_c, 2)
-        start *= np.exp(0.5 * (op.log_mass - np.repeat(coarse.log_mass, 2)))
-    return (*smallest_eigenpair(op.diag, op.offdiag, start=start, below=lam_c), lam_c)
-
-
 def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     """Smallest eigenvalue and its one-signed eigenvector, as function samples
-    at the nodes.
+    at the nodes, from one cold solve of op.
 
     On a normal-form operator (space forms with n >= 4) the samples next to
     the centre are poor, 14 % off at n = 4 and more in higher dimension,
@@ -452,24 +400,35 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
     good to O(h^2) at every node, and smooth there, pass
     finite_volume_operator(man, beta, m) in place of discretize.
     """
-    lam, v, _ = _solve(op)
-    u = op.unweight(v)
-    return SpectralResult(lambda1=lam, eigenfunction=u, grid_size=op.grid.size,
-                          beta=op.beta)
+    lam, v = smallest_eigenpair(op.diag, op.offdiag, **_cold_hints(op))
+    return SpectralResult(lambda1=lam, eigenfunction=op.unweight(v),
+                          grid_size=op.grid.size, beta=op.beta)
 
 
 def _solve_pair(man: ModelManifold, beta: float, m: int):
     """(lambda_1 at m, lambda_1 at 2m).
 
-    A radial pair discretizes only the fine grid; _solve merges its cells in
-    pairs into the coarse operator and solves both, so the fine value is
-    first_eigenpair's.  Interval grids do not nest, so an interval
-    discretizes and solves both.
+    A normal form discretizes only the fine grid and is solved coarse first:
+    _coarsen(fine) cold, then fine from the coarse eigenvector, prolonged
+    linearly, and from a first shift at the coarse value; the solver falls
+    back if that shift lies above lambda_1.  Finite volumes discretize both
+    grids and solve each cold.
     """
-    if man.kind == Kind.INTERVAL:
-        return tuple(_solve(discretize(man, beta, k))[0] for k in (m, 2 * m))
-    lam_f, _, lam_c = _solve(discretize(man, beta, 2 * m))
-    return lam_c, lam_f
+    fine = discretize(man, beta, 2 * m)
+    if not fine.normal_form:
+        return tuple(smallest_eigenpair(op.diag, op.offdiag, **_cold_hints(op))[0]
+                     for op in (discretize(man, beta, m), fine))
+    coarse = _coarsen(fine)
+    lam_c, v_c = smallest_eigenpair(coarse.diag, coarse.offdiag, **_cold_hints(coarse))
+    # linear, with the ghost -v at both ends: the fine nodes lie a quarter
+    # of a coarse cell either side of each coarse node
+    start = np.repeat(0.75 * v_c, 2)
+    quarter = 0.25 * v_c
+    start[2::2] += quarter[:-1]
+    start[1:-1:2] += quarter[1:]
+    start[0] -= quarter[0]
+    start[-1] -= quarter[-1]
+    return lam_c, smallest_eigenpair(fine.diag, fine.offdiag, start=start, below=lam_c)[0]
 
 
 def lambda1_beta(

@@ -483,11 +483,17 @@ _SUITE_FUNCS = {
 }
 
 
+# the suites that pass their grid to a warped-metric grid
+_WARPED_SUITES = ("majorization", "warped")
+
+
 def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckResult]:
     """The checks of suite ``name`` ("all": every suite in turn).
 
     ``grid`` replaces each suite's default grids; a grid below MIN_GRID and
-    a negative ``seed`` are refused here, for every suite, before any runs.
+    a negative ``seed`` are refused here, for every suite, before any runs,
+    and so is a grid below warped.MIN_WARP_GRID where a selected suite
+    reads it as a warped-metric grid.
     """
     if name != "all" and name not in _SUITE_FUNCS:
         raise InvalidParameterError(
@@ -495,6 +501,10 @@ def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckRe
         )
     if grid is not None and grid < MIN_GRID:
         raise InvalidParameterError(f"grid size must be >= {MIN_GRID}, got {grid}")
+    if (grid is not None and grid < warped.MIN_WARP_GRID
+            and (name == "all" or name in _WARPED_SUITES)):
+        raise InvalidParameterError(
+            f"warped-metric grid must be >= {warped.MIN_WARP_GRID}, got {grid}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if name == "all":

@@ -536,8 +536,9 @@ class TestGridLadder:
 
     def test_doubles_up_to_the_cap(self, grids, capsys):
         assert main(["compute", "interval:0,1", "--grid", "64", "--tol", "1e-12"]) == 3
-        # each rung solves its pair (m, 2m) afresh, so grid 2m is solved again
-        assert grids == [64, 128, 128, 256, 256, 512, 512, 1024, 1024, 2048]
+        # each rung solves its pair (m, 2m) afresh, so grid 2m is solved
+        # again; an interval discretizes the fine grid of a rung first
+        assert grids == [128, 64, 256, 128, 512, 256, 1024, 512, 2048, 1024]
         assert MAX_GRID_FACTOR == 16
         # a radial pair discretizes only its fine grid, one call per rung
         grids.clear()
@@ -660,6 +661,29 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize("suite", ["all", "majorization", "warped"])
+    @pytest.mark.parametrize("grid", ["16", "32", "63"])
+    def test_grid_below_the_warped_minimum_exits_2(self, capsys, monkeypatch, suite, grid):
+        # majorization and warped read the grid as a warped-metric grid: the
+        # grid is refused before any suite runs
+        def unreachable(seed=0, grid=None):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "_SUITE_FUNCS",
+                            {name: unreachable for name in verify._SUITE_FUNCS})
+        assert main(["verify", suite, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"warped-metric grid must be >= 64, got {grid}" in captured.err
+
+    @pytest.mark.parametrize("suite", ["bessel", "monotonicity", "clifford"])
+    def test_grid_below_the_warped_minimum_runs_other_suites(self, monkeypatch, suite):
+        ran = []
+        monkeypatch.setitem(verify._SUITE_FUNCS, suite,
+                            lambda seed=0, grid=None: ran.append(grid) or [])
+        assert main(["verify", suite, "--grid", "32"]) == 0
+        assert ran == [32]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -6,11 +6,19 @@ from scipy.sparse import diags, kronsum
 from scipy.sparse.linalg import eigsh
 
 from scx import _oracle2d
-from scx._oracle2d import five_point_laplacian, rectangle_lambda1
+from scx._oracle2d import rectangle_lambda1
 from scx.errors import NumericalFailureError
 
 _RECTANGLES = [(1.0, 2.0, 1.0 / 64), (1.0, 1.0, 1.0 / 32), (0.5, 3.0, 1.0 / 40),
                (2.0, 0.3, 1.0 / 48)]
+
+
+def _band(a, b, target_h=1.0 / 64):
+    """The five-point band that rectangle_lambda1 factors, at shift 0."""
+    p, q, hs, hl = _oracle2d._grid(a, b, target_h)
+    ab = np.empty((p + 1, p * q), order="F")
+    _oracle2d._fill(ab, p, hs, hl)
+    return ab
 
 
 def _eigsh_reference(a, b, target_h=1.0 / 64):
@@ -46,7 +54,7 @@ def test_value_on_the_additivity_rectangle():
 @pytest.mark.parametrize("a,b,target_h", _RECTANGLES)
 def test_accepted_shifts_lie_below_the_value(a, b, target_h, monkeypatch):
     # each dpbtrf call records its shift, read off the first diagonal entry
-    diag = five_point_laplacian(a, b, target_h)[0, 0]
+    diag = _band(a, b, target_h)[0, 0]
     calls = []
     real = _oracle2d.dpbtrf
 
@@ -67,7 +75,7 @@ def test_refused_shift_refactors_the_last_accepted_one(monkeypatch):
     # dpbtrf is made to refuse the first shift past 0: the single band buffer
     # is factored at 0 again and the iteration goes on from there
     want = rectangle_lambda1(1.0, 2.0)
-    diag = five_point_laplacian(1.0, 2.0)[0, 0]
+    diag = _band(1.0, 2.0)[0, 0]
     shifts = []
     real = _oracle2d.dpbtrf
 

@@ -85,8 +85,11 @@ def _scale(diag, off):
 
 
 def _warm_fine_call(monkeypatch, man, m, beta=0.25):
-    """(diag, off, hints) of the warm solve in a cold lambda1_beta(man, beta, m):
-    the fine operator, from the prolonged coarse eigenvector."""
+    """(diag, off, hints) of the warm solve in a cold lambda1_beta(man, beta, m)
+    on a normal form, the only pair solved coarse first: the fine operator,
+    from the prolonged coarse eigenvector."""
+    fine = spectral.discretize(man, beta, 2 * m)
+    assert fine.normal_form
     calls = []
 
     def recording(diag, off, **hints):
@@ -98,7 +101,7 @@ def _warm_fine_call(monkeypatch, man, m, beta=0.25):
         mp.setattr(spectral, "_cache", OrderedDict())
         spectral.lambda1_beta(man, beta, m)
     assert [c[0].size for c in calls] == [m, 2 * m]  # the coarse grid first
-    coarse = spectral._coarsen(spectral.discretize(man, beta, 2 * m))
+    coarse = spectral._coarsen(fine)
     assert [sorted(c[2]) for c in calls] == [sorted(spectral._cold_hints(coarse)),
                                              ["below", "start"]]
     return calls[1]
@@ -440,7 +443,7 @@ class TestColdStart:
         assert abs(lam - lam1) <= _slack(lam1, op.diag, op.offdiag)
         assert len(infos) <= 4
 
-    def test_lambda1_matches_first_eigenpair_on_catalog(self, fresh_cache):
+    def test_pair_is_the_reference_pair_on_catalog(self, fresh_cache, reference_pair):
         rng = np.random.default_rng(19)
         for n in range(2, 9):
             k = float(rng.uniform(0.2, 3.0))
@@ -454,10 +457,15 @@ class TestColdStart:
             ]
             for man in catalog:
                 m, beta = int(rng.integers(64, 257)), float(rng.choice([0.0, 0.25]))
-                # tol=1: this test reads the value, not the certificate
-                got = spectral.lambda1_beta(man, beta, m, tol=1.0).lambda1
+                # tol=1: this test reads the values, not the certificate
+                got = spectral.lambda1_beta(man, beta, m, tol=1.0)
+                lam_c, lam_f = reference_pair(man, beta, m)
+                assert got.lambda1 == lam_f, (man, m, beta)
+                assert got.richardson_estimate == (4.0 * lam_f - lam_c) / 3.0, (man, m, beta)
+                # first_eigenpair solves the fine operator once, cold
                 op = spectral.discretize(man, beta, 2 * m)
-                assert got == spectral.first_eigenpair(op).lambda1, (man, m, beta)
+                lam = spectral.first_eigenpair(op).lambda1
+                assert abs(lam - lam_f) <= 2 * _slack(lam_f, op.diag, op.offdiag), (man, m, beta)
 
 
 class TestResidualCertificate:
@@ -561,8 +569,8 @@ class TestResidualCertificate:
 
 class TestWarmStart:
     # dptsv calls of the warm fine solve at 2m = 500, as measured; a solve of
-    # the same operator from ones and Gershgorin's shift takes 8 on the
-    # finite-volume disk and hyperbolic 2-ball, 4 and 5 in normal form
+    # the same operator from ones and Gershgorin's shift takes 8 on the disk
+    # and the hyperbolic 2-ball, 4 and 5 at n = 3 and 4 (all in normal form)
     @pytest.mark.parametrize("man, warm", [
         (make_space_form_ball(2, 0.0, 1.0), 2),
         (make_hyperbolic_ball(2, 3.0), 2),
@@ -611,17 +619,16 @@ class TestWarmStart:
         make_spherical_cap(5, 2.0),
         make_radial_custom(3, _bumpy_warp, 1.0),
     ], ids=["interval", "flat-ball", "hypball", "cap", "custom"])
-    def test_richardson_matches_cold_pair(self, fresh_cache, man):
+    def test_richardson_is_the_reference_pair(self, fresh_cache, reference_pair, man):
         m = 300
         res = spectral.lambda1_beta(man, 0.25, m)
+        lam_c, lam_f = reference_pair(man, 0.25, m)
+        assert res.lambda1 == lam_f
+        assert res.richardson_estimate == (4.0 * lam_f - lam_c) / 3.0
+        # the cold single solve of the fine operator lies within the slack
         fine = spectral.discretize(man, 0.25, 2 * m)
-        # radial pairs merge the fine cells into the coarse operator
-        coarse = (spectral.discretize(man, 0.25, m) if man.kind == Kind.INTERVAL
-                  else spectral._coarsen(fine))
-        cold = [spectral.first_eigenpair(op).lambda1 for op in (coarse, fine)]
-        assert res.lambda1 == cold[1]
-        assert abs(res.richardson_estimate - (4.0 * cold[1] - cold[0]) / 3.0) \
-            <= 1e-13 * abs(res.lambda1)
+        cold = spectral.first_eigenpair(fine).lambda1
+        assert abs(cold - lam_f) <= 2 * _slack(lam_f, fine.diag, fine.offdiag)
 
 
 def _radial_catalog(rng, n):
@@ -648,6 +655,8 @@ class TestTwoLevelSolve:
         for n in range(2, 9):
             for man in _radial_catalog(rng, n):
                 m, beta = int(rng.integers(250, 2001)), float(rng.choice([0.0, 0.25]))
+                if man.kind == Kind.RADIAL_CUSTOM:  # finite volumes: no warm solve
+                    continue
                 diag, off, hints = _warm_fine_call(monkeypatch, man, m, beta)
                 (lam, _), (sv, trf) = _lapack_calls(monkeypatch, diag, off, **hints)
                 assert sv <= 2 and trf <= 1, (man, m, beta, sv, trf)
@@ -678,21 +687,22 @@ class TestTwoLevelSolve:
         assert work[0] <= parent
 
     @pytest.mark.parametrize("m", [17, 63, 125, 301])
-    def test_first_eigenpair_is_the_pair_fine_value_on_odd_sizes(self, fresh_cache, m):
+    def test_odd_coarse_grids_solve_the_reference_pair(self, fresh_cache, reference_pair, m):
         # the fine grid 2m has an odd coarse grid m; discretize(m) itself is
         # odd, and first_eigenpair solves it cold
         rng = np.random.default_rng(m)
         for man in _radial_catalog(rng, int(rng.integers(2, 9))):
             got = spectral.lambda1_beta(man, 0.25, m, tol=1.0)
-            fine = spectral.first_eigenpair(spectral.discretize(man, 0.25, 2 * m))
-            assert got.lambda1 == fine.lambda1, (man, m)
+            lam_c, lam_f = reference_pair(man, 0.25, m)
+            assert got.lambda1 == lam_f, (man, m)
+            assert got.richardson_estimate == (4.0 * lam_f - lam_c) / 3.0, (man, m)
             op = spectral.discretize(man, 0.25, m)
             cold = smallest_eigenpair(op.diag, op.offdiag, **spectral._cold_hints(op))
             assert spectral.first_eigenpair(op).lambda1 == cold[0], (man, m)
 
     def test_pair_keeps_the_coarse_cold_value(self, fresh_cache):
-        # the coarse value is the cold solve of the merged operator (finite
-        # volumes, n = 2) or of the normal form at m (n = 3)
+        # the coarse value is the cold solve of the normal form at m, built
+        # by _coarsen from the fine grid
         m = 200
         for n in (2, 3):
             man = make_hyperbolic_ball(n, 5.0)
@@ -721,6 +731,17 @@ def discretized(monkeypatch):
 
     monkeypatch.setattr(spectral, "discretize", counting)
     return calls
+
+
+_FIRST_EIGENPAIR_CASES = [
+    make_interval(0.0, 1.5),
+    make_space_form_ball(2, 0.0, 1.0),
+    make_space_form_ball(3, -2.0, 0.8),
+    make_hyperbolic_ball(4, 3.0),
+    make_spherical_cap(3, 1.2),
+    make_radial_custom(3, _bumpy_warp, 1.0),
+]
+_FIRST_EIGENPAIR_IDS = ["interval", "flat-ball", "curved-ball", "hypball", "cap", "custom"]
 
 
 class TestSolveCache:
@@ -758,13 +779,18 @@ class TestSolveCache:
         (make_space_form_ball(2, -2.0, 3.0), 32),
         (make_spherical_cap(3, 1.2), 64),
     ], ids=["ball-32", "ball-64", "curved-ball-32", "cap-64"])
-    def test_lambda1_independent_of_earlier_solves(self, fresh_cache, discretized, man, m):
-        # the pair (2m, 4m) solves grid 2m warm; the pair (m, 2m) must not reuse it
+    def test_pair_independent_of_earlier_solves(self, fresh_cache, discretized, monkeypatch,
+                                                reference_pair, man, m):
+        # the pair (2m, 4m) solves grid 2m cold; the pair (m, 2m) must not reuse it
         spectral.lambda1_beta(man, 0.25, 2 * m)
         later = spectral.lambda1_beta(man, 0.25, m)
-        cold = spectral.first_eigenpair(spectral.discretize(man, 0.25, 2 * m)).lambda1
-        assert later.lambda1 == cold
-        assert discretized == [4 * m, 2 * m, 2 * m]
+        assert discretized == [4 * m, 2 * m]
+        monkeypatch.setattr(spectral, "_cache", OrderedDict())
+        fresh = spectral.lambda1_beta(man, 0.25, m)
+        assert (later.lambda1, later.richardson_estimate, later.certificate) \
+            == (fresh.lambda1, fresh.richardson_estimate, fresh.certificate)
+        lam_c, lam_f = reference_pair(man, 0.25, m)
+        assert (later.lambda1, later.richardson_estimate) == (lam_f, (4.0 * lam_f - lam_c) / 3.0)
 
     def test_lambda1_beta_never_unweights(self, fresh_cache, monkeypatch):
         calls = []
@@ -784,19 +810,26 @@ class TestSolveCache:
         assert pair.eigenfunction.size == 128
         assert calls == [128]
 
-    @pytest.mark.parametrize("man", [
-        make_interval(0.0, 1.5),
-        make_space_form_ball(2, 0.0, 1.0),
-        make_space_form_ball(3, -2.0, 0.8),
-        make_hyperbolic_ball(4, 3.0),
-        make_spherical_cap(3, 1.2),
-        make_radial_custom(3, _bumpy_warp, 1.0),
-    ], ids=["interval", "flat-ball", "curved-ball", "hypball", "cap", "custom"])
+    @pytest.mark.parametrize("man", _FIRST_EIGENPAIR_CASES, ids=_FIRST_EIGENPAIR_IDS)
     @pytest.mark.parametrize("beta", [0.0, 0.25])
-    def test_lambda1_matches_first_eigenpair(self, fresh_cache, man, beta):
+    def test_pair_is_the_reference_pair(self, fresh_cache, reference_pair, man, beta):
+        m = 96
+        got = spectral.lambda1_beta(man, beta, m)
+        lam_c, lam_f = reference_pair(man, beta, m)
+        assert got.lambda1 == lam_f
+        assert got.richardson_estimate == (4.0 * lam_f - lam_c) / 3.0
+
+    @pytest.mark.parametrize("man", _FIRST_EIGENPAIR_CASES, ids=_FIRST_EIGENPAIR_IDS)
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_first_eigenpair_within_the_slack_of_the_pair(self, fresh_cache, man, beta):
+        # one cold solve of the fine operator, bit for bit; the pair's fine
+        # value, solved warm in normal form, lies within the solver's slack
         m = 96
         got = spectral.lambda1_beta(man, beta, m).lambda1
-        assert got == spectral.first_eigenpair(spectral.discretize(man, beta, 2 * m)).lambda1
+        op = spectral.discretize(man, beta, 2 * m)
+        lam = spectral.first_eigenpair(op).lambda1
+        assert lam == smallest_eigenpair(op.diag, op.offdiag, **spectral._cold_hints(op))[0]
+        assert abs(lam - got) <= 2 * _slack(got, op.diag, op.offdiag)
 
 
 # hides the two compiled files from the direct load, as an unknown install
