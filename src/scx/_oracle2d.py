@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from ._tridiag import _lapack, ddot, dnrm2
-from .errors import NumericalFailureError
+from .errors import InvalidParameterError, NumericalFailureError
 
 dpbtrf, dpbtrs = _lapack.dpbtrf, _lapack.dpbtrs
 
@@ -85,6 +85,10 @@ def _rayleigh_quotient(v, p: int, hs: float, hl: float) -> float:
 
 def rectangle_lambda1(a: float, b: float, target_h: float = 1.0 / 64) -> float:
     """First Dirichlet eigenvalue of -Lap on (0,a) x (0,b), five-point stencil."""
+    if not (0 < a < math.inf and 0 < b < math.inf and 0 < target_h < math.inf):
+        raise InvalidParameterError(
+            "rectangle sides and target_h must be finite and positive, "
+            f"got a={a}, b={b}, target_h={target_h}")
     p, q, hs, hl = _grid(a, b, target_h)
     n = p * q
     # one band buffer, so the factor at sigma is lost when a shift is refused

@@ -77,8 +77,8 @@ def qw_enclosure(nu: float) -> tuple[float, float]:
     lower = nu + a nu^(1/3)/2^(1/3),
     upper = lower + (3/20) 2^(2/3) a^2 / nu^(1/2).
     """
-    if nu <= 0.5:
-        raise InvalidParameterError(f"enclosure requires nu > 1/2, got {nu}")
+    if not 0.5 < nu < math.inf:
+        raise InvalidParameterError(f"enclosure requires a finite nu > 1/2, got {nu}")
     lower = nu + _A_CONST * nu ** (1.0 / 3.0) / 2.0 ** (1.0 / 3.0)
     upper = lower + 0.15 * 2.0 ** (2.0 / 3.0) * _A_CONST**2 / math.sqrt(nu)
     return (lower, upper)

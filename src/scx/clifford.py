@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFailureError
+from .geometry import _integer
 
 MAX_CLIFFORD_DIM = 8
 
@@ -70,7 +71,8 @@ class CurvatureEndomorphism:
 
 def build_clifford(m: int) -> CliffordRep:
     """Anti-Hermitian generators on the 2^floor(m/2)-dimensional spinor space."""
-    if not 1 <= m <= MAX_CLIFFORD_DIM:
+    m = _integer(m, "tangent dimension", 1)
+    if m > MAX_CLIFFORD_DIM:
         raise InvalidParameterError(
             f"tangent dimension must lie in [1, {MAX_CLIFFORD_DIM}], got {m}"
         )
@@ -98,6 +100,7 @@ def build_clifford(m: int) -> CliffordRep:
 
 def make_curvature(m: int, fiber_dim: int, blocks) -> CurvatureData:
     """Assemble CurvatureData from {(i, j): block} with i < j, filling R_ji = -R_ij."""
+    m, fiber_dim = _dimensions(m, fiber_dim)
     R = np.zeros((m, m, fiber_dim, fiber_dim), dtype=complex)
     for (i, j), block in blocks.items():
         if not (0 <= i < m and 0 <= j < m):
@@ -114,6 +117,7 @@ def make_curvature(m: int, fiber_dim: int, blocks) -> CurvatureData:
 
 def random_curvature(m: int, fiber_dim: int, rng) -> CurvatureData:
     """Random anti-Hermitian curvature blocks, for property sweeps."""
+    m, fiber_dim = _dimensions(m, fiber_dim)
     blocks = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -121,6 +125,11 @@ def random_curvature(m: int, fiber_dim: int, rng) -> CurvatureData:
                 + 1j * rng.normal(size=(fiber_dim, fiber_dim))
             blocks[(i, j)] = 0.5 * (A - A.conj().T)
     return make_curvature(m, fiber_dim, blocks)
+
+
+def _dimensions(m, fiber_dim) -> tuple[int, int]:
+    """(m, fiber_dim) as ints of at least 1."""
+    return _integer(m, "tangent dimension", 1), _integer(fiber_dim, "fiber dimension", 1)
 
 
 def _assemble(rep: CliffordRep, R: np.ndarray) -> np.ndarray:
@@ -179,5 +188,6 @@ def partial_spectrum(rep: CliffordRep, data: CurvatureData, other_dim: int, side
     """
     if side not in ("first", "second"):
         raise InvalidParameterError(f"side must be 'first' or 'second', got {side}")
+    other_dim = _integer(other_dim, "other fiber dimension", 1)
     K = _assemble(rep, _lift(data.R, other_dim, side))
     return np.linalg.eigvalsh(0.5 * (K + K.conj().T))

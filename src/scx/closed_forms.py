@@ -106,12 +106,15 @@ def first_bessel_zero(nu: float) -> float:
 def closed_form(man: ModelManifold, beta: float = 0.25) -> float:
     """lambda_1(-Lap + beta Sc) where it is known exactly; sc is 4x this at 1/4.
 
-    Intervals of length L: pi^2/L^2.  Flat n-balls: j_nu^2/r^2, nu = n/2 - 1.
+    Intervals of length L: pi^2/L^2, and 1-D caps of angle a, intervals of
+    length 2a (sigma = 0).  Flat n-balls: j_nu^2/r^2, nu = n/2 - 1.
     Hemispheres: n + beta n(n-1).  3-D balls, caps and hyperbolic balls of
     curvature kappa: pi^2/r^2 - kappa + 6 beta kappa (u = v/sn turns
     -Lap u = lambda u into -v'' = (lambda + kappa) v).  Products and boxes:
     the sum over factors.  Anything else raises InvalidParameterError.
     """
+    if not math.isfinite(beta):
+        raise InvalidParameterError(f"beta must be finite, got {beta}")
     if man.is_product_like:
         return sum(closed_form(f, beta) for f in man.factors)
     if man.kind == Kind.INTERVAL:
@@ -120,6 +123,8 @@ def closed_form(man: ModelManifold, beta: float = 0.25) -> float:
     prof = man.profile
     if isinstance(prof, SpaceForm):
         n, kappa, r = man.dim, prof.kappa, prof.r_max
+        if n == 1:
+            return math.pi**2 / (2 * r) ** 2
         if kappa == 0:
             return first_bessel_zero(n / 2.0 - 1.0) ** 2 / r**2
         if kappa == 1 and r == math.pi / 2:

@@ -38,6 +38,7 @@ from .closed_forms import first_bessel_zero
 from .errors import InvalidKindError, InvalidParameterError, NumericalFailureError
 from .geometry import (
     ModelManifold,
+    _integer,
     make_hyperbolic_ball,
     make_space_form_ball,
     radius_from_mean_curvature,
@@ -227,7 +228,10 @@ def hyperbolic_c_from_lambda(n: int, r: float, lam: float) -> float:
 
 
 def hyperbolic_c_window(n: int, r: float) -> tuple[float, float]:
-    """The proven bounds on c(r) of hyperbolic_c, from closed forms alone."""
+    """The proven bounds on c(r) of hyperbolic_c, from closed forms alone;
+    (n, r) is refused where make_hyperbolic_ball refuses it."""
+    prof = make_hyperbolic_ball(n, r).profile
+    n, r = prof.dim, prof.r_max
     lo, hi = sorted((math.pi**2, first_bessel_zero(n / 2.0 - 1.0) ** 2))
     k = 4.0 / (n - 1) ** 2
     return (1.0 + (k * lo - 1.0) / r**2, 1.0 + (k * hi - 1.0) / r**2)
@@ -253,6 +257,7 @@ def hyperbolic_sc(n: int, r: float, m: int = DEFAULT_GRID) -> float:
 
 def positivity_threshold_radius(n: int) -> float:
     """Published rough radius sqrt(6(n-1)/(5n+1)) below which sc > 0."""
+    n = _integer(n, "dimension", 2)
     return math.sqrt(6.0 * (n - 1) / (5.0 * n + 1))
 
 
@@ -263,8 +268,8 @@ def admissible_catalog(kappa: float, count: int, seed: int, dims=(2, 3, 4)):
     curvature mu at or below the actual boundary value, rejecting draws for
     which the model ball does not exist.
     """
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    count = _integer(count, "count", 0)
+    seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     cases = []
     guard = 0

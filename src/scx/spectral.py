@@ -48,22 +48,18 @@ there raises with every rung's certificate; factors climb on their own.
 
 lambda1_beta solves for eigenvalues only; it caches each rung's pair
 (lambda_1 at m, lambda_1 at 2m) by (manifold key, beta, m) in one LRU cache
-of at most _CACHE_ENTRIES pairs.  On a miss _solve_pair discretizes the
-fine grid, and its scheme decides how the pair is solved.  A normal form is
-solved coarse first: _coarsen gives the operator at m from the fine one, Q
-and the fit at the coarse nodes, bit for bit discretize's at m.  It is
-solved cold, and the fine one from that eigenvector, prolonged linearly
-(weights 3/4 and 1/4), and from a first shift at the coarse value, so that
-it takes one or two inverse-iteration steps.  A finite-volume pair
-(intervals, custom profiles, 1-D caps) discretizes the coarse grid too and
-solves each grid cold.  first_eigenpair solves its operator once, cold; it
-lies within the solver's slack of a pair's fine value.  A cold solve starts
-from _cold_hints: the exact discrete eigenvector on intervals and n = 3
-normal forms (a sine at n > 3, and sqrt(t) times a quarter sine at n = 2),
-and on finite-volume radial operators the node weights times 1 - t^2.  An
-eigenfunction comes from first_eigenpair(discretize(man, beta, m)), or,
-with samples accurate next to the centre, from
-first_eigenpair(finite_volume_operator(...)).
+of at most _CACHE_ENTRIES pairs.  On a miss _solve_pair discretizes m and
+2m and solves m cold.  A normal form solves 2m from the coarse eigenvector,
+prolonged linearly (weights 3/4 and 1/4), and from a first shift at the
+coarse value, so that it takes one or two inverse-iteration steps; finite
+volumes (intervals, custom profiles, 1-D caps) solve 2m cold.
+first_eigenpair solves its operator once, cold; it lies within the solver's
+slack of a pair's fine value.  A cold solve starts from _cold_hints: the
+exact discrete eigenvector on intervals and n = 3 normal forms (a sine at
+n > 3, and sqrt(t) times a quarter sine at n = 2), and on finite-volume
+radial operators the node weights times 1 - t^2.  An eigenfunction comes
+from first_eigenpair(discretize(man, beta, m)), or, with samples accurate
+next to the centre, from first_eigenpair(finite_volume_operator(...)).
 
 Only what a result reads is computed: finite volumes never evaluate the
 drift A'/A, which Grid.drift computes from the profile on first read (the
@@ -286,19 +282,6 @@ def _finite_volumes(grid: Grid, beta: float) -> DiscreteOperator:
     return DiscreteOperator(grid, diag, off, float(beta), lM)
 
 
-def _coarsen(op: DiscreteOperator) -> DiscreteOperator:
-    """The normal-form operator on cells of twice the width, from op's grid.
-
-    Its nodes are the even-indexed faces of op, and it is discretize's
-    operator at half the size, bit for bit.
-    """
-    fine = op.grid
-    nodes = fine.h * np.arange(1, fine.size + 1, 2)
-    grid = Grid(nodes=nodes, h=2 * fine.h, profile=fine.profile,
-                sigma=np.asarray(fine.profile.scalar_curv(nodes), dtype=float))
-    return _normal_operator(grid, op.beta)
-
-
 def _normal_operator(grid: Grid, beta: float) -> DiscreteOperator:
     """-v'' + Q v on v = sn^((n-1)/2) u by 3-point differences at the nodes.
 
@@ -408,18 +391,15 @@ def first_eigenpair(op: DiscreteOperator) -> SpectralResult:
 def _solve_pair(man: ModelManifold, beta: float, m: int):
     """(lambda_1 at m, lambda_1 at 2m).
 
-    A normal form discretizes only the fine grid and is solved coarse first:
-    _coarsen(fine) cold, then fine from the coarse eigenvector, prolonged
+    Both grids are discretized and the coarse one solved cold.  A normal
+    form solves the fine grid from the coarse eigenvector, prolonged
     linearly, and from a first shift at the coarse value; the solver falls
-    back if that shift lies above lambda_1.  Finite volumes discretize both
-    grids and solve each cold.
+    back if that shift lies above lambda_1.  Finite volumes solve it cold.
     """
-    fine = discretize(man, beta, 2 * m)
-    if not fine.normal_form:
-        return tuple(smallest_eigenpair(op.diag, op.offdiag, **_cold_hints(op))[0]
-                     for op in (discretize(man, beta, m), fine))
-    coarse = _coarsen(fine)
+    coarse, fine = discretize(man, beta, m), discretize(man, beta, 2 * m)
     lam_c, v_c = smallest_eigenpair(coarse.diag, coarse.offdiag, **_cold_hints(coarse))
+    if not fine.normal_form:
+        return lam_c, smallest_eigenpair(fine.diag, fine.offdiag, **_cold_hints(fine))[0]
     # linear, with the ghost -v at both ends: the fine nodes lie a quarter
     # of a coarse cell either side of each coarse node
     start = np.repeat(0.75 * v_c, 2)
@@ -446,7 +426,8 @@ def lambda1_beta(
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta}")
-    # checked here, for every kind: a radial pair discretizes only 2m
+    # checked here, for every kind: 1e3 becomes 1000 before the cache key
+    # and grid_size
     if type(m) is not int or m < MIN_GRID:  # one test on the common path
         m = _integer(m, "grid size", MIN_GRID)
     if man.is_product_like:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .geometry import ModelManifold
+from .geometry import ModelManifold, _integer
 from .spectral import DEFAULT_GRID, finite_volume_operator, first_eigenpair, lambda1_beta
 from .warped import theta_form, theta_form_on, warp_grid
 
@@ -72,10 +71,8 @@ def maximize(
     m: int = 1024,
 ) -> VariationalReport:
     """Best inf-functional value over the seeded trial family vs 4 lambda_1."""
-    if trials < 1:
-        raise InvalidParameterError(f"need trials >= 1, got {trials}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0)
     eigen_value = 4.0 * lambda1_beta(base, 0.25, max(m, DEFAULT_GRID // 4)).lambda1
     # Eigenfunction for the trial family is solved on the trial grid itself,
     # by finite volumes, whose samples are accurate next to the centre too.

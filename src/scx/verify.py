@@ -19,6 +19,7 @@ from ._oracle2d import rectangle_lambda1
 from .closed_forms import closed_form
 from .errors import InvalidParameterError, NumericalFailureError
 from .geometry import (
+    _integer,
     make_box,
     make_hyperbolic_ball,
     make_interval,
@@ -491,7 +492,8 @@ def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckRe
     """The checks of suite ``name`` ("all": every suite in turn).
 
     ``grid`` replaces each suite's default grids; a grid below MIN_GRID and
-    a negative ``seed`` are refused here, for every suite, before any runs,
+    a ``seed`` that is not an integer >= 0 are refused here, for every
+    suite, before any runs,
     and so is a grid below warped.MIN_WARP_GRID where a selected suite
     reads it as a warped-metric grid.
     """
@@ -505,8 +507,7 @@ def run_suite(name: str, seed: int = 0, grid: int | None = None) -> list[CheckRe
             and (name == "all" or name in _WARPED_SUITES)):
         raise InvalidParameterError(
             f"warped-metric grid must be >= {warped.MIN_WARP_GRID}, got {grid}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    seed = _integer(seed, "seed", 0)
     if name == "all":
         # one suite's numerical failure becomes its failed check, so the
         # other suites still report their verdicts

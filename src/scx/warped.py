@@ -82,10 +82,11 @@ def _sample(grid: Grid, f) -> np.ndarray:
 
 
 def _require_positive(grid: Grid, phi: np.ndarray, what: str) -> None:
-    if np.any(phi <= 0):
-        bad = int(np.argmin(phi))
+    good = (phi > 0) & (phi < np.inf)  # false on nan
+    if not good.all():
+        bad = int(np.argmin(good))
         raise InvalidParameterError(
-            f"{what} must be strictly positive; value at node "
+            f"{what} must be finite and strictly positive; value at node "
             f"{grid.nodes[bad]:g} is {phi[bad]:g}"
         )
 

@@ -19,20 +19,20 @@ def rng():
 
 def _reference_pair(man, beta, m):
     """(lambda_1 at m, lambda_1 at 2m) as a two-grid pair is solved, written
-    out step by step: a normal form solves _coarsen(fine) cold, then the fine
-    operator from the coarse eigenvector, prolonged linearly with the ghost
-    -v at both ends, and below the coarse value; finite volumes discretize
-    both grids and solve each cold."""
+    out step by step: discretize m and 2m, and solve m cold; a normal form
+    solves 2m from the coarse eigenvector, prolonged linearly with the ghost
+    -v at both ends, and below the coarse value; finite volumes solve 2m
+    cold."""
     from scx import spectral
     from scx._tridiag import smallest_eigenpair
 
     def cold(op):
         return smallest_eigenpair(op.diag, op.offdiag, **spectral._cold_hints(op))
 
-    fine = spectral.discretize(man, beta, 2 * m)
+    coarse, fine = spectral.discretize(man, beta, m), spectral.discretize(man, beta, 2 * m)
+    lam_c, v_c = cold(coarse)
     if not fine.normal_form:
-        return cold(spectral.discretize(man, beta, m))[0], cold(fine)[0]
-    lam_c, v_c = cold(spectral._coarsen(fine))
+        return lam_c, cold(fine)[0]
     ghosted = np.concatenate(([-v_c[0]], v_c, [-v_c[-1]]))
     start = np.empty(2 * m)
     start[0::2] = 0.75 * v_c + 0.25 * ghosted[:-2]

@@ -25,6 +25,7 @@ from scx.geometry import (
     make_spherical_cap,
     product,
 )
+from scx.spectral import lambda1_beta
 
 
 def series_j(nu: float, x: float, terms: int = 160) -> float:
@@ -227,9 +228,12 @@ class TestEnclosure:
         lo, hi = qw_enclosure(1.0)
         assert hi > lo > 1.0
 
-    def test_requires_nu_above_half(self):
-        with pytest.raises(InvalidParameterError):
-            qw_enclosure(0.5)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu", [0.5, math.nan, math.inf, -math.inf])
+    def test_requires_nu_above_half(self, nu):
+        # nan fails no nu <= 1/2 test, and returned (nan, nan)
+        with pytest.raises(InvalidParameterError, match="finite nu > 1/2"):
+            qw_enclosure(nu)
 
 
 class TestFlatBallSc:
@@ -270,6 +274,7 @@ _CLOSED_FORMS = (
      ("3-ball kappa=-2", make_space_form_ball(3, -2.0, 7.0), 0.25,
       math.pi**2 / 49 - 1.0),
      ("3-cap angle 2.5", make_spherical_cap(3, 2.5), 0.25, math.pi**2 / 6.25 + 0.5),
+     ("1-cap angle 2, beta=3", make_spherical_cap(1, 2.0), 3.0, math.pi**2 / 16),
      ("hyperbolic 3-ball beta=0", make_hyperbolic_ball(3, 2.0), 0.0,
       1 + math.pi**2 / 4)]
     + [(f"flat {n}-ball", make_space_form_ball(n, 0.0, 1.5), 0.25,
@@ -347,6 +352,20 @@ class TestClosedForm:
     def test_hemisphere_sc_is_exactly_n_n_plus_3(self, n):
         assert 4 * closed_form(make_spherical_cap(n, math.pi / 2)) == n * (n + 3)
 
+    @pytest.mark.parametrize("angle", [0.5, 2.0, 3.0])
+    def test_one_dimensional_cap_is_an_interval_of_twice_its_angle(self, angle):
+        # sigma = 0, so every beta gives pi^2/(4 a^2); the default-grid
+        # eigensolve lies 3.2e-9 relative from it, within its certificate
+        man = make_spherical_cap(1, angle)
+        exact = closed_form(man)
+        assert exact == closed_form(make_interval(-angle, angle)) == closed_form(man, -2.0)
+        assert exact == pytest.approx(math.pi**2 / (4 * angle**2), rel=1e-15)
+        res = lambda1_beta(man, 0.25)
+        assert abs(res.lambda1 - exact) <= res.certificate * exact
+
+    def test_one_dimensional_hemisphere_is_one(self):
+        assert closed_form(make_spherical_cap(1, math.pi / 2)) == 1.0
+
     @pytest.mark.parametrize("man", [
         make_spherical_cap(2, 0.9),
         make_hyperbolic_ball(4, 1.0),
@@ -357,3 +376,14 @@ class TestClosedForm:
     def test_no_closed_form_raises(self, man):
         with pytest.raises(InvalidParameterError, match="no closed form"):
             closed_form(man)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("man", [
+        make_interval(0, 1), make_spherical_cap(3, math.pi / 2), make_hyperbolic_ball(3, 2.0),
+        make_box([1.0, 2.0]),
+    ], ids=["interval", "hemisphere", "hyperbolic 3-ball", "box"])
+    def test_non_finite_beta_refused(self, man, beta):
+        # as lambda1_beta refuses it
+        with pytest.raises(InvalidParameterError, match="beta must be finite"):
+            closed_form(man, beta)

@@ -537,13 +537,13 @@ class TestGridLadder:
     def test_doubles_up_to_the_cap(self, grids, capsys):
         assert main(["compute", "interval:0,1", "--grid", "64", "--tol", "1e-12"]) == 3
         # each rung solves its pair (m, 2m) afresh, so grid 2m is solved
-        # again; an interval discretizes the fine grid of a rung first
-        assert grids == [128, 64, 256, 128, 512, 256, 1024, 512, 2048, 1024]
+        # again; a rung discretizes its coarse grid first
+        assert grids == [64, 128, 128, 256, 256, 512, 512, 1024, 1024, 2048]
         assert MAX_GRID_FACTOR == 16
-        # a radial pair discretizes only its fine grid, one call per rung
+        # a radial pair discretizes both of its grids too
         grids.clear()
         assert main(["compute", "ball:n=3,r=1", "--grid", "64", "--tol", "1e-12"]) == 3
-        assert grids == [128, 256, 512, 1024, 2048]
+        assert grids == [64, 128, 128, 256, 256, 512, 512, 1024, 1024, 2048]
 
     def test_other_failure_exits_at_once(self, grids, capsys, monkeypatch):
         from scx import spectral
@@ -553,7 +553,7 @@ class TestGridLadder:
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", failing)
         assert main(["compute", "ball:n=4,r=3", "--grid", "64"]) == 3
-        assert grids == [128]  # the fine grid of the pair, no doubling to 256
+        assert grids == [64, 128]  # the grids of the pair, no doubling to 256
         assert "inverse iteration failed" in capsys.readouterr().err
 
     def test_reports_the_fine_grid_used(self, capsys):
@@ -661,6 +661,24 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize("suite", ["all", "monotonicity", "bessel"])
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "1"])
+    def test_non_integer_seed_refused_before_any_suite(self, monkeypatch, suite, seed):
+        def unreachable(seed=0, grid=None):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "_SUITE_FUNCS",
+                            {name: unreachable for name in verify._SUITE_FUNCS})
+        with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+            verify.run_suite(suite, seed=seed)
+
+    def test_integer_valued_seed_reaches_the_suite_as_an_int(self, monkeypatch):
+        seeds = []
+        monkeypatch.setitem(verify._SUITE_FUNCS, "bessel",
+                            lambda seed=0, grid=None: seeds.append(seed) or [])
+        verify.run_suite("bessel", seed=3.0)
+        assert seeds == [3] and type(seeds[0]) is int
 
     @pytest.mark.parametrize("suite", ["all", "majorization", "warped"])
     @pytest.mark.parametrize("grid", ["16", "32", "63"])

@@ -44,6 +44,16 @@ class TestBuildClifford:
         with pytest.raises(InvalidParameterError):
             build_clifford(9)
 
+    @pytest.mark.parametrize("m", [2.5, float("nan"), "2"])
+    def test_non_integer_dimension_refused(self, m):
+        with pytest.raises(InvalidParameterError, match="tangent dimension must be an integer"):
+            build_clifford(m)
+
+    def test_integer_valued_float_is_an_int(self):
+        rep = build_clifford(2.0)
+        assert type(rep.m) is int and rep.m == 2
+        assert all(np.array_equal(a, b) for a, b in zip(rep.gammas, build_clifford(2).gammas))
+
 
 class TestCurvatureEndomorphism:
     def test_flat_bundle_gives_zero(self):
@@ -80,6 +90,27 @@ class TestCurvatureEndomorphism:
         # would index past R
         with pytest.raises(InvalidParameterError, match="out of range for m=3"):
             make_curvature(3, 1, {pair: [[1j]]})
+
+    @pytest.mark.parametrize("m,fiber_dim,match", [
+        (2.5, 1, "tangent dimension must be an integer"),
+        (2, 1.5, "fiber dimension must be an integer"),
+        (0, 1, "tangent dimension must be >= 1, got 0"),
+        (2, 0, "fiber dimension must be >= 1, got 0"),
+    ])
+    def test_dimensions_must_be_positive_integers(self, rng, m, fiber_dim, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            make_curvature(m, fiber_dim, {})
+        with pytest.raises(InvalidParameterError, match=match):
+            random_curvature(m, fiber_dim, rng)
+
+    @pytest.mark.parametrize("other_dim,match", [
+        (0, "other fiber dimension must be >= 1, got 0"),
+        (1.5, "other fiber dimension must be an integer"),
+    ])
+    def test_partial_spectrum_other_dimension(self, rng, other_dim, match):
+        rep, data = build_clifford(2), random_curvature(2, 1, rng)
+        with pytest.raises(InvalidParameterError, match=match):
+            partial_spectrum(rep, data, other_dim, "first")
 
     def test_invalid_curvature_rejected(self):
         bad = np.zeros((2, 2, 1, 1), dtype=complex)

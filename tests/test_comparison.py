@@ -10,6 +10,7 @@ from scx.comparison import (
     admissible_catalog,
     compare_sc_stab,
     hyperbolic_c,
+    hyperbolic_c_window,
     hyperbolic_sc,
     make_comparison_case,
     model_eigenfunction,
@@ -85,6 +86,22 @@ class TestCompareScStab:
     def test_catalog_seed_must_not_be_negative(self):
         with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
             admissible_catalog(0.0, 2, seed=-1)
+
+    @pytest.mark.parametrize("count,seed,match", [
+        (2, 1.5, "seed must be an integer"),
+        (2.5, 1, "count must be an integer"),
+        (float("nan"), 1, "count must be an integer"),
+        (-1, 1, "count must be >= 0, got -1"),
+    ])
+    def test_catalog_counts_must_be_integers(self, count, seed, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            admissible_catalog(0.0, count, seed)
+
+    def test_catalog_takes_integer_valued_floats(self):
+        got = admissible_catalog(0.0, 2.0, 1.0)
+        assert len(got) == 2
+        assert [c.manifold.key() for c in got] \
+            == [c.manifold.key() for c in admissible_catalog(0.0, 2, 1)]
 
 
 @pytest.fixture
@@ -254,6 +271,21 @@ class TestHyperbolic:
         for n in (2, 3, 4):
             r = 0.99 * positivity_threshold_radius(n)
             assert hyperbolic_sc(n, r, 800) > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n,r", [
+        (1, 2.0), (2.5, 2.0), (3, 0.0), (3, -1.0), (3, math.nan), (3, math.inf), (3, 1e4),
+    ])
+    def test_window_refuses_what_the_ball_refuses(self, n, r):
+        with pytest.raises(InvalidParameterError):
+            make_hyperbolic_ball(n, r)
+        with pytest.raises(InvalidParameterError):
+            hyperbolic_c_window(n, r)
+
+    @pytest.mark.parametrize("n", [0, 1, 2.5, math.nan])
+    def test_threshold_radius_needs_a_dimension(self, n):
+        with pytest.raises(InvalidParameterError, match="dimension must be"):
+            positivity_threshold_radius(n)
 
     def test_limit_value_at_infinity(self):
         # sc -> -(n-1): at r=8 and n=3 the closed form gives -2 + 4 pi^2/64

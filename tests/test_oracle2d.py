@@ -1,5 +1,7 @@
 """The 2-D five-point oracle used by the additivity suite."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse import diags, kronsum
@@ -7,7 +9,7 @@ from scipy.sparse.linalg import eigsh
 
 from scx import _oracle2d
 from scx._oracle2d import rectangle_lambda1
-from scx.errors import NumericalFailureError
+from scx.errors import InvalidParameterError, NumericalFailureError
 
 _RECTANGLES = [(1.0, 2.0, 1.0 / 64), (1.0, 1.0, 1.0 / 32), (0.5, 3.0, 1.0 / 40),
                (2.0, 0.3, 1.0 / 48)]
@@ -112,3 +114,13 @@ def test_capped_iteration_raises(monkeypatch):
     with pytest.raises(NumericalFailureError, match="failed to converge") as exc:
         rectangle_lambda1(1.0, 2.0)
     assert exc.value.details["steps"] == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a,b,target_h", [
+    (math.nan, 1.0, 1 / 64), (-1.0, 1.0, 1 / 64), (1.0, 0.0, 1 / 64), (1.0, math.inf, 1 / 64),
+    (1.0, 1.0, 0.0), (1.0, 1.0, math.nan),
+])
+def test_sides_and_spacing_must_be_finite_and_positive(a, b, target_h):
+    with pytest.raises(InvalidParameterError, match="must be finite and positive"):
+        rectangle_lambda1(a, b, target_h)

@@ -85,7 +85,7 @@ def _cell_log_masses_reference(prof, m, h):
 
 
 # custom profiles are discretized by finite volumes, space forms by the
-# normal form; _cell_log_masses reads any profile, _coarsen normal forms
+# normal form; _cell_log_masses reads any profile
 _MASS_CASES = {
     "flat disk": lambda: make_space_form_ball(2, 0.0, 1.0),
     "hyperbolic 2-ball r=600": lambda: make_hyperbolic_ball(2, 600.0),
@@ -121,21 +121,28 @@ class TestCellLogMasses:
         assert first == pytest.approx(exact, rel=1e-14 if n == 2 else 1e-3)
 
 
-class TestCoarsen:
+class TestPairOperators:
     @pytest.mark.parametrize("m", [37, 500, 2000])
     @pytest.mark.parametrize("case", sorted(set(_MASS_CASES) - {"custom"}))
-    def test_grid_bitwise_that_of_half_the_size(self, case, m):
-        # Q at the coarse nodes: discretize at m itself
+    def test_discretize_at_m_then_at_2m(self, monkeypatch, case, m):
+        # a cold pair solves discretize's own operators, bit for bit: the
+        # coarse grid at m, then the fine grid at 2m
         man = _MASS_CASES[case]()
-        coarse = spectral._coarsen(discretize(man, 0.25, 2 * m))
-        direct = discretize(man, 0.25, m)
-        assert coarse.normal_form and direct.normal_form
-        assert coarse.grid.h == direct.grid.h
-        assert np.array_equal(coarse.grid.nodes, direct.grid.nodes)
-        assert np.array_equal(coarse.grid.sigma, direct.grid.sigma)
-        assert coarse.beta == direct.beta
-        assert np.array_equal(coarse.diag, direct.diag)
-        assert np.array_equal(coarse.offdiag, direct.offdiag)
+        calls = []
+
+        def recording(diag, off, **hints):
+            calls.append((diag.copy(), off.copy()))
+            return smallest_eigenpair(diag, off, **hints)
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", recording)
+        monkeypatch.setattr(spectral, "_cache", OrderedDict())
+        lambda1_beta(man, 0.25, m, tol=1.0)
+        want = [discretize(man, 0.25, m), discretize(man, 0.25, 2 * m)]
+        assert len(calls) == 2
+        for (diag, off), op in zip(calls, want):
+            assert op.normal_form
+            assert np.array_equal(diag, op.diag)
+            assert np.array_equal(off, op.offdiag)
 
 
 def _exact_cell_log_masses(kappa: float, h: float, m: int) -> np.ndarray:
@@ -241,9 +248,9 @@ class TestDriftOnDemand:
         assert np.array_equal(op.grid.drift, 3.0 / np.tanh(op.grid.nodes))
         assert drift_calls == [128]
         lambda1_beta(make_hyperbolic_ball(4, 2.0), 0.25, 96)
-        assert drift_calls == [128, 192, 96]  # the fine grid, then the coarse one
+        assert drift_calls == [128, 96, 192]  # the coarse grid, then the fine one
         lambda1_beta(make_spherical_cap(2, 1.0), 0.25, 96)
-        assert drift_calls == [128, 192, 96, 192, 96]
+        assert drift_calls == [128, 96, 192, 96, 192]
 
     def test_warped_fields_read_eager_values(self, drift_calls):
         man = make_hyperbolic_ball(3, 2.0)
@@ -289,11 +296,7 @@ class TestFirstEigenpair:
             calls.append(sorted(hints))
             return smallest_eigenpair(diag, off, **hints)
 
-        def coarsen(op):
-            raise AssertionError("first_eigenpair coarsened its operator")
-
         monkeypatch.setattr(spectral, "smallest_eigenpair", recording)
-        monkeypatch.setattr(spectral, "_coarsen", coarsen)
         res = first_eigenpair(op)
         assert calls == [sorted(spectral._cold_hints(op))]
         lam, v = smallest_eigenpair(op.diag, op.offdiag, **spectral._cold_hints(op))
@@ -478,7 +481,7 @@ class TestSolveParameters:
 
     @pytest.mark.parametrize("m", [3, 8, 15])
     def test_grid_below_minimum_refused_for_every_kind(self, m):
-        # a radial pair discretizes only 2m, so the check is lambda1_beta's own
+        # lambda1_beta checks m itself, before any kind's solve
         kinds = [make_interval(0, 1), make_space_form_ball(3, 0.0, 1.0),
                  make_space_form_ball(2, 1.0, 1.0), make_spherical_cap(3, 2.0),
                  make_hyperbolic_ball(3, 2.0), make_radial_custom(3, np.sin, 1.0),
@@ -606,8 +609,8 @@ class TestGridLadder:
         res = sc_stab(make_interval(0, 1), 64, tol=1e-6)
         assert res.grid_size == 512
         assert res.certificate < 1e-5
-        # an interval discretizes both grids of each rung, the fine one first
-        assert [m for _, m in grids] == [128, 64, 256, 128, 512, 256]
+        # every rung discretizes both of its grids, the coarse one first
+        assert [m for _, m in grids] == [64, 128, 128, 256, 256, 512]
 
     @pytest.mark.parametrize("man,expect", [
         (make_space_form_ball(3, 0.0, 1.0),
@@ -621,7 +624,7 @@ class TestGridLadder:
         # a pass at the start grid solves the one pair (500, 1000); its
         # values, bit for bit, as the single-pair solve gave them
         res = sc_stab(man, 500)
-        assert grids == [(man.kind, 1000)]
+        assert grids == [(man.kind, 500), (man.kind, 1000)]
         assert (res.lambda1, res.richardson_estimate, res.certificate) == expect
         assert res.grid_size == 1000
 
@@ -630,12 +633,12 @@ class TestGridLadder:
         # 64, while the interval climbs to the pair from 1024
         hyp, interval = make_hyperbolic_ball(3, 100.0), make_interval(0, 1)
         res = lambda1_beta(product([hyp, interval]), 0.0, 64, tol=1e-7)
-        assert [m for kind, m in grids if kind == Kind.HYPERBOLIC_BALL] == [128]
+        assert [m for kind, m in grids if kind == Kind.HYPERBOLIC_BALL] == [64, 128]
         assert res.grid_size == 2048
         parts = [lambda1_beta(f, 0.0, 64, tol=1e-7) for f in (hyp, interval)]
         assert [p.grid_size for p in parts] == [128, 2048]
         assert res.lambda1 == parts[0].lambda1 + parts[1].lambda1
-        assert len(grids) == 1 + 10  # the cache served the second pass
+        assert len(grids) == 2 + 10  # the cache served the second pass
 
     def test_failure_lists_every_rung(self, grids):
         assert spectral.MAX_GRID_FACTOR == 16
@@ -647,8 +650,8 @@ class TestGridLadder:
         assert details["m"] == 1024 and details["tol"] == 1e-12
         assert details["certificate"] == details["rungs"][1024]
         assert all(c >= 1e-11 for c in details["rungs"].values())
-        # an interval discretizes both grids of each rung, the fine one first
-        assert [m for _, m in grids] == [128, 64, 256, 128, 512, 256, 1024, 512, 2048, 1024]
+        # every rung discretizes both of its grids, the coarse one first
+        assert [m for _, m in grids] == [64, 128, 128, 256, 256, 512, 512, 1024, 1024, 2048]
 
 
 class TestEigenProduct:
@@ -875,7 +878,7 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("m", [250, 301])
     def test_lambda1_is_the_coarse_first_pair(self, m, monkeypatch, reference_pair):
-        # the pair solves _coarsen(fine) cold, then fine warm from it; a cold
+        # the pair solves discretize at m cold, then 2m warm from it; a cold
         # single solve of the fine operator lies within the solver's slack
         monkeypatch.setattr(spectral, "_cache", OrderedDict())
         rng = np.random.default_rng(m)

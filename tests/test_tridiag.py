@@ -86,8 +86,8 @@ def _scale(diag, off):
 
 def _warm_fine_call(monkeypatch, man, m, beta=0.25):
     """(diag, off, hints) of the warm solve in a cold lambda1_beta(man, beta, m)
-    on a normal form, the only pair solved coarse first: the fine operator,
-    from the prolonged coarse eigenvector."""
+    on a normal form, the only pair that solves its fine grid warm: the fine
+    operator, from the prolonged coarse eigenvector."""
     fine = spectral.discretize(man, beta, 2 * m)
     assert fine.normal_form
     calls = []
@@ -101,7 +101,7 @@ def _warm_fine_call(monkeypatch, man, m, beta=0.25):
         mp.setattr(spectral, "_cache", OrderedDict())
         spectral.lambda1_beta(man, beta, m)
     assert [c[0].size for c in calls] == [m, 2 * m]  # the coarse grid first
-    coarse = spectral._coarsen(fine)
+    coarse = spectral.discretize(man, beta, m)
     assert [sorted(c[2]) for c in calls] == [sorted(spectral._cold_hints(coarse)),
                                              ["below", "start"]]
     return calls[1]
@@ -701,13 +701,12 @@ class TestTwoLevelSolve:
             assert spectral.first_eigenpair(op).lambda1 == cold[0], (man, m)
 
     def test_pair_keeps_the_coarse_cold_value(self, fresh_cache):
-        # the coarse value is the cold solve of the normal form at m, built
-        # by _coarsen from the fine grid
+        # the coarse value is the cold solve of the normal form at m
         m = 200
         for n in (2, 3):
             man = make_hyperbolic_ball(n, 5.0)
             pair = spectral._solve_pair(man, 0.25, m)
-            coarse = spectral._coarsen(spectral.discretize(man, 0.25, 2 * m))
+            coarse = spectral.discretize(man, 0.25, m)
             cold = smallest_eigenpair(coarse.diag, coarse.offdiag,
                                       **spectral._cold_hints(coarse))
             assert pair[0] == cold[0], n
@@ -768,9 +767,9 @@ class TestSolveCache:
     def test_repeated_key_skips_discretize(self, fresh_cache, discretized):
         man = make_space_form_ball(3, 0.0, 1.25)
         first = spectral.lambda1_beta(man, 0.25, 64)
-        assert discretized == [128]  # the coarse grid is merged from the fine one
+        assert discretized == [64, 128]  # both grids of the pair
         again = spectral.lambda1_beta(man, 0.25, 64)
-        assert discretized == [128]
+        assert discretized == [64, 128]
         assert again.lambda1 == first.lambda1
 
     @pytest.mark.parametrize("man, m", [
@@ -784,7 +783,7 @@ class TestSolveCache:
         # the pair (2m, 4m) solves grid 2m cold; the pair (m, 2m) must not reuse it
         spectral.lambda1_beta(man, 0.25, 2 * m)
         later = spectral.lambda1_beta(man, 0.25, m)
-        assert discretized == [4 * m, 2 * m]
+        assert discretized == [2 * m, 4 * m, m, 2 * m]
         monkeypatch.setattr(spectral, "_cache", OrderedDict())
         fresh = spectral.lambda1_beta(man, 0.25, m)
         assert (later.lambda1, later.richardson_estimate, later.certificate) \

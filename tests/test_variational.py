@@ -51,6 +51,14 @@ class TestInfFunctional:
         val = inf_functional(man, res.eigenfunction, m)
         assert val == pytest.approx(4 * res.lambda1, rel=0.01)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta_refused(self, bad):
+        theta = np.ones(256)
+        theta[100] = bad
+        with pytest.raises(InvalidParameterError, match="finite and strictly positive"):
+            inf_functional(make_interval(0, 1), theta, 256)
+
     def test_perturbed_eigenfunction_majorized(self, rng):
         man = make_interval(0, 1)
         m = 1024
@@ -92,6 +100,20 @@ class TestMaximize:
     def test_seed_must_not_be_negative(self):
         with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
             maximize(make_interval(0, 1), trials=5, seed=-1, m=256)
+
+    @pytest.mark.parametrize("what,kwargs", [
+        ("trials", {"trials": 2.5}), ("seed", {"seed": 1.5}),
+        ("seed", {"seed": float("nan")}), ("trials", {"trials": float("inf")}),
+    ])
+    def test_non_integer_counts_refused(self, what, kwargs):
+        with pytest.raises(InvalidParameterError, match=f"{what} must be an integer"):
+            maximize(make_interval(0, 1), m=256, **kwargs)
+
+    def test_integer_valued_floats_are_ints(self):
+        man = make_interval(0, 1)
+        got = maximize(man, trials=5.0, seed=3.0, m=256)
+        assert got == maximize(man, trials=5, seed=3, m=256)
+        assert type(got.trials) is int and got.trials == 5
 
 
 class TestMajorization:

@@ -96,6 +96,14 @@ class TestWarpedSc:
         with pytest.raises(InvalidParameterError):
             make_warping_family(man, [np.sin(4 * math.pi * grid.nodes)], 128)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_warp(self, bad):
+        phi = np.ones(128)
+        phi[40] = bad
+        with pytest.raises(InvalidParameterError, match="finite and strictly positive"):
+            make_warping_family(make_interval(0, 1), [np.ones(128), phi], 128)
+
     def test_minimum_grid(self):
         with pytest.raises(InvalidParameterError):
             make_warping_family(make_interval(0, 1), [np.ones(32)], 32)
@@ -170,6 +178,15 @@ class TestThetaForm:
         man = make_interval(0, 1)
         with pytest.raises(InvalidParameterError):
             theta_form(man, np.zeros(128), 128)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # nan passes phi <= 0, and inf turns the quotient into inf - inf
+        theta = np.ones(128)
+        theta[[0, 70]] = 1.0, bad
+        with pytest.raises(InvalidParameterError, match=r"value at node [^ ]+ is -?(nan|inf)$"):
+            theta_form(make_space_form_ball(3, 0.0, 1.0), theta, 128)
 
 
 class TestPsiForm:
